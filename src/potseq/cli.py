@@ -126,9 +126,14 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     if args.format == "edgelist":
         sys.stdout.write(to_edgelist(cert.graph, comments=comments))
     elif args.format == "graph6":
+        try:
+            g6 = encode_graph6(cert.graph)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for c in comments:
             print(f"# {c}")
-        print(encode_graph6(cert.graph))
+        print(g6)
     else:
         sys.stdout.write(to_dot(cert.graph, comments=comments))
     return EXIT_YES
@@ -166,6 +171,13 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
         )
         return EXIT_BREACH
     return EXIT_YES
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -242,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="compare decider against the exhaustive oracle")
     p.add_argument("--n", required=True, help="length, or an inclusive range like 5..8")
     p.add_argument("--target", choices=sorted(_TARGETS), default="k6-c4")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--oracle-bound", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -2,12 +2,23 @@
 potential-subgraph oracle, graphic-sequence enumeration, sigma thresholds,
 and decider-vs-oracle verification.
 
-The oracle enumerates every labeled realization of a sequence by saturating
-one vertex at a time (largest residual first, neighbor sets in lexicographic
-order) with an Erdos-Gallai feasibility check on the residual demand after
-each step.  Unsaturated vertices are never adjacent to each other, so the
-residual check is exact and no branch is a dead end: the search tree visits
-exactly the labeled realizations, once each.
+One completion engine, ``_complete``, serves the oracle and the realizer.
+It saturates one vertex at a time (largest residual first, neighbor sets in
+lexicographic order) with an Erdos-Gallai feasibility check on the residual
+demand after each step.  Candidates with equal residual and equal adjacency
+mask are twins, and swapping two twins maps the partial graph and residuals
+onto themselves; so of the neighbor sets that differ only in which twins
+they take, just the first in lexicographic order is expanded (orbit pruning
+in the style of McKay, "Isomorph-free exhaustive generation", 1998).  The
+search is still exhaustive up to isomorphism: every realization is
+isomorphic to one in the pruned tree, and the oracle's containment test does
+not change under isomorphism.  The first success in the pruned tree is the
+first in the full tree, so certificates are the same as without pruning.
+
+For the oracle the graph starts empty.  Unsaturated vertices are then never
+adjacent to each other, so the residual check is exact, no branch is a dead
+end, and the search stops at the first partial graph that contains the
+pattern.
 """
 
 from __future__ import annotations
@@ -78,7 +89,12 @@ def resolve_oracle_bound(bound: int | None) -> int:
     if bound is not None:
         return bound
     env = os.environ.get(ORACLE_BOUND_ENV)
-    return int(env) if env else DEFAULT_ORACLE_BOUND
+    if not env:
+        return DEFAULT_ORACLE_BOUND
+    try:
+        return int(env)
+    except ValueError:
+        raise OracleBoundError(f"{ORACLE_BOUND_ENV}={env!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -115,92 +131,89 @@ def realize_graphic(seq: DegreeSequence) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive realization search
+# exhaustive completion search
 
 
-def _positive_sorted(residual: list[int]) -> list[int]:
-    rem = [x for x in residual if x > 0]
-    rem.sort(reverse=True)
-    return rem
+_Accept = Callable[[list[int]], bool]
 
 
-def _find_realization(
-    terms: Sequence[int],
-    accept: Callable[[list[int], int], bool] | None,
-) -> list[int] | None:
-    """First labeled realization satisfying ``accept`` (or any realization
-    when ``accept`` is None); None when no realization satisfies it.
+def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None) -> list[int] | None:
+    """Add edges to the graph ``base`` (adjacency bitmasks) until every
+    vertex ``v`` has gained ``demand[v]`` new neighbors.
 
-    ``accept`` must be monotone under edge addition: once a partial graph
-    satisfies it, the branch is completed greedily and returned.
+    With ``accept`` None, returns the adjacency of the first completion in
+    search order, or None when there is none.  Otherwise returns the first
+    partial graph on which ``accept`` holds, or None when no completion
+    satisfies it.  ``accept`` must be monotone under edge addition and
+    invariant under isomorphism, and ``base`` must be empty: only then does
+    the Erdos-Gallai check prove that a partial graph can be completed.
     """
-    n = len(terms)
-    residual = list(terms)
-    adj = [0] * n
-
-    def pivot() -> int:
-        u = -1
-        best = 0
-        for i in range(n):
-            if residual[i] > best:
-                best = residual[i]
-                u = i
-        return u
-
-    def complete_any() -> None:
-        # residual is Erdos-Gallai-feasible here, so a first valid branch
-        # always exists all the way down
-        u = pivot()
-        if u < 0:
-            return
-        r = residual[u]
-        cands = [v for v in range(n) if v != u and residual[v] > 0]
-        residual[u] = 0
-        for combo in combinations(cands, r):
-            for v in combo:
-                residual[v] -= 1
-            if _eg_ok(_positive_sorted(residual)):
-                for v in combo:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                complete_any()
-                return
-            for v in combo:
-                residual[v] += 1
-        raise AssertionError("feasible residual had no extension")
-
-    def search() -> bool:
-        u = pivot()
-        if u < 0:
-            return accept is None or accept(adj, n)
-        r = residual[u]
-        cands = [v for v in range(n) if v != u and residual[v] > 0]
-        if r > len(cands):
-            return False
-        residual[u] = 0
-        for combo in combinations(cands, r):
-            for v in combo:
-                residual[v] -= 1
-            if _eg_ok(_positive_sorted(residual)):
-                for v in combo:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-                if accept is not None and accept(adj, n):
-                    complete_any()
-                    return True
-                if search():
-                    return True
-                for v in combo:
-                    adj[u] &= ~(1 << v)
-                    adj[v] &= ~(1 << u)
-            for v in combo:
-                residual[v] += 1
-        residual[u] = r
-        return False
-
-    if sum(terms) % 2:
+    if sum(demand) % 2:
         return None
-    return adj if search() else None
+    adj = list(base)
+    return adj if _extend(adj, list(demand), accept) else None
+
+
+def _extend(adj: list[int], residual: list[int], accept: _Accept | None) -> bool:
+    """One search node: saturate the first vertex of largest residual,
+    trying neighbor sets in ``combinations`` order but skipping any that
+    takes a twin without its earlier twins.  The first set never does, so
+    twin classes are only worked out once it fails.  On success ``adj`` and
+    ``residual`` hold the graph found; otherwise they are restored.
+    """
+    if accept is not None and accept(adj):
+        return True
+    r = max(residual, default=0)
+    if r == 0:
+        return accept is None
+    u = residual.index(r)
+    blocked = adj[u] | 1 << u
+    cands = [v for v, x in enumerate(residual) if x and not blocked >> v & 1]
+    if r > len(cands):
+        return False
+    residual[u] = 0
+    combos = combinations(cands, r)
+    if _try_neighbors(adj, residual, u, next(combos), accept):
+        return True
+    last: dict[tuple[int, int], int] = {}
+    twin_before = [0] * len(adj)
+    for v in cands:
+        key = (residual[v], adj[v])
+        if key in last:
+            twin_before[v] = 1 << last[key]
+        last[key] = v
+    for combo in combos:
+        taken = 0
+        for v in combo:
+            if twin_before[v] & ~taken:
+                break
+            taken |= 1 << v
+        else:
+            if _try_neighbors(adj, residual, u, combo, accept):
+                return True
+    residual[u] = r
+    return False
+
+
+def _try_neighbors(
+    adj: list[int], residual: list[int], u: int, combo: tuple[int, ...], accept: _Accept | None
+) -> bool:
+    for v in combo:
+        residual[v] -= 1
+    # exact when unsaturated vertices are pairwise non-adjacent (empty
+    # base); otherwise it ignores blocked pairs and is merely necessary
+    if _eg_ok(sorted([x for x in residual if x], reverse=True)):
+        for v in combo:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        if _extend(adj, residual, accept):
+            return True
+        for v in combo:
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    for v in combo:
+        residual[v] += 1
+    return False
 
 
 def _check_oracle_pre(seq: DegreeSequence, bound: int | None) -> int:
@@ -221,8 +234,12 @@ def _dominates(terms: Sequence[int], pattern_degrees: Sequence[int]) -> bool:
     return all(terms[i] >= pattern_degrees[i] for i in range(len(pattern_degrees)))
 
 
-def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Graph | None:
-    """Some realization containing K6 - C4, or None if none exists.
+def _has_k6c4(adj: list[int]) -> bool:
+    return _find_km_minus_c4_adj(adj, len(adj), 2) is not None
+
+
+def _oracle_k6c4_partial(seq: DegreeSequence, bound: int | None) -> list[int] | None:
+    """First partial realization containing K6 - C4, or None if none exists.
 
     Short-circuits when the sorted sequence does not dominate the pattern
     degrees (5,5,3,3,3,3): any graph containing the pattern has at least
@@ -231,15 +248,25 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Gr
     _check_oracle_pre(seq, bound)
     if not _dominates(seq.terms, K6_MINUS_C4.degree_multiset):
         return None
-    adj = _find_realization(seq.terms, lambda a, n: _find_km_minus_c4_adj(a, n, 2) is not None)
+    return _complete(seq.terms, [0] * seq.n, _has_k6c4)
+
+
+def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Graph | None:
+    """Some realization containing K6 - C4, or None if none exists."""
+    adj = _oracle_k6c4_partial(seq, bound)
     if adj is None:
         return None
+    residual = [d - a.bit_count() for d, a in zip(seq.terms, adj)]
+    # the residual passed the exact Erdos-Gallai check, so this completes
+    adj = _complete(residual, adj, None)
+    if adj is None:
+        raise AssertionError("feasible residual had no extension")
     return Graph(seq.n, tuple(adj))
 
 
 def oracle_decide_k6c4(seq: DegreeSequence, bound: int | None = None) -> bool:
     """Exhaustive ground truth for "potentially K6-C4-graphic"."""
-    return oracle_realization_k6c4(seq, bound=bound) is not None
+    return _oracle_k6c4_partial(seq, bound) is not None
 
 
 def oracle_decide_pattern(
@@ -247,12 +274,12 @@ def oracle_decide_pattern(
 ) -> bool:
     """Exhaustive ground truth for "potentially ``pattern``-graphic".
 
-    Pure search over every labeled realization with the generic injective
-    containment test; no sequence-level shortcuts.
+    Pure search over the realizations, up to isomorphism, with the generic
+    injective containment test; no sequence-level shortcuts.
     """
     _check_oracle_pre(seq, bound)
-    adj = _find_realization(seq.terms, lambda a, n: _contains_pattern_adj(a, n, pattern))
-    return adj is not None
+    found = _complete(seq.terms, [0] * seq.n, lambda adj: _contains_pattern_adj(adj, len(adj), pattern))
+    return found is not None
 
 
 # ---------------------------------------------------------------------------
@@ -321,50 +348,6 @@ def _role_assignments(d: Sequence[int], m: int) -> list[tuple[tuple[int, ...], t
     return out
 
 
-def _complete_with_demands(n: int, demand: Sequence[int], base_adj: Sequence[int]) -> list[int] | None:
-    """Backtracking edge completion: degrees ``demand`` on top of ``base_adj``
-    without duplicating existing edges.  Returns the added-edge adjacency."""
-    if sum(demand) % 2:
-        return None
-    residual = list(demand)
-    extra = [0] * n
-
-    def rec() -> bool:
-        u = -1
-        best = 0
-        for i in range(n):
-            if residual[i] > best:
-                best = residual[i]
-                u = i
-        if u < 0:
-            return True
-        blocked = base_adj[u] | extra[u]
-        cands = [v for v in range(n) if v != u and residual[v] > 0 and not blocked >> v & 1]
-        r = residual[u]
-        if r > len(cands):
-            return False
-        residual[u] = 0
-        for combo in combinations(cands, r):
-            for v in combo:
-                residual[v] -= 1
-            # optimistic check: ignores blocked pairs, still necessary
-            if _eg_ok(_positive_sorted(residual)):
-                for v in combo:
-                    extra[u] |= 1 << v
-                    extra[v] |= 1 << u
-                if rec():
-                    return True
-                for v in combo:
-                    extra[u] &= ~(1 << v)
-                    extra[v] &= ~(1 << u)
-            for v in combo:
-                residual[v] += 1
-        residual[u] = r
-        return False
-
-    return extra if rec() else None
-
-
 def _realize_with_km_c4(seq: DegreeSequence, m: int) -> RealizationCertificate:
     n = seq.n
     if n < m:
@@ -387,10 +370,10 @@ def _realize_with_km_c4(seq: DegreeSequence, m: int) -> RealizationCertificate:
             base[b] |= 1 << a
         if min(demand) < 0:
             continue
-        extra = _complete_with_demands(n, demand, base)
-        if extra is None:
+        adj = _complete(demand, base, None)
+        if adj is None:
             continue
-        graph = Graph(n, tuple(base[v] | extra[v] for v in range(n)))
+        graph = Graph(n, tuple(adj))
         hubs_sorted = tuple(sorted(hubs))
         pairs_sorted = tuple(sorted(tuple(sorted(p)) for p in pairs))
         cert = RealizationCertificate(
@@ -479,8 +462,8 @@ def sigma_search(n: int, target: TargetPattern = K6_MINUS_C4, bound: int | None 
     """Smallest even s such that every n-term positive graphic sequence with
     sum >= s is potentially target-graphic, plus an extremal witness at s - 2.
 
-    Uses the closed-form decider for K6-C4 and the exhaustive oracle for
-    other targets.
+    Decided by the exhaustive oracle for every target, so the value is
+    independent of the closed-form deciders.
     """
     minimum = 6 if target.name == K6C4 else 5
     if n < minimum:
@@ -490,8 +473,8 @@ def sigma_search(n: int, target: TargetPattern = K6_MINUS_C4, bound: int | None 
         raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {limit}")
     best: DegreeSequence | None = None
     for seq in enumerate_graphic_sequences(n):
-        if target.name == K6C4:
-            potential = decide_k6c4(seq).is_yes
+        if target == K6_MINUS_C4:
+            potential = oracle_decide_k6c4(seq, bound=limit)
         else:
             potential = oracle_decide_pattern(seq, target, bound=limit)
         if not potential and (best is None or seq.sigma > best.sigma):

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest -s tests/test_acceptance.py` to see the lines.  The n=9
-decider-oracle sweep is a long test, opt in with POTSEQ_RUN_LONG=1.
+Run with `pytest -s tests/test_acceptance.py` to see the lines.  The
+decider-oracle sweeps cover n <= 9 for both targets; the n=10 sweeps are a
+long test, opt in with POTSEQ_RUN_LONG=1.
 """
 
 import io
@@ -80,28 +81,30 @@ def paper_conditions_1_and_2(seq: DegreeSequence) -> bool:
 
 def test_criterion_1_decider_oracle_equivalence_k6c4():
     ok = True
-    for n in (6, 7, 8):
+    for n in (6, 7, 8, 9):
         code, out = run_cli(["verify", "--n", str(n), "--jobs", str(JOBS), "--json"])
         rep = json.loads(out)
         ok = ok and code == 0 and rep["mismatches"] == [] and rep["total_sequences"] > 0
-    report("C1 decider-oracle equivalence, K6-C4, n=6..8", ok)
-
-
-@pytest.mark.slow
-@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=9 sweep")
-def test_criterion_1_long_n9():
-    code, out = run_cli(["verify", "--n", "9", "--jobs", str(JOBS), "--json"])
-    rep = json.loads(out)
-    report("C1-long decider-oracle equivalence, K6-C4, n=9", code == 0 and rep["mismatches"] == [])
+    report("C1 decider-oracle equivalence, K6-C4, n=6..9", ok)
 
 
 def test_criterion_2_decider_oracle_equivalence_k5c4():
     code, out = run_cli(
-        ["verify", "--n", "5..8", "--target", "k5-c4", "--jobs", str(JOBS), "--json"]
+        ["verify", "--n", "5..9", "--target", "k5-c4", "--jobs", str(JOBS), "--json"]
     )
     reports = json.loads(out)["reports"]
-    ok = code == 0 and len(reports) == 4 and all(r["mismatches"] == [] for r in reports)
-    report("C2 decider-oracle equivalence, K5-C4, n=5..8", ok)
+    ok = code == 0 and len(reports) == 5 and all(r["mismatches"] == [] for r in reports)
+    report("C2 decider-oracle equivalence, K5-C4, n=5..9", ok)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=10 sweeps")
+@pytest.mark.parametrize("target", ["k6-c4", "k5-c4"])
+def test_criterion_1_2_long_n10(target):
+    code, out = run_cli(["verify", "--n", "10", "--target", target, "--jobs", str(JOBS), "--json"])
+    rep = json.loads(out)
+    ok = code == 0 and rep["total_sequences"] == 11655 and rep["mismatches"] == []
+    report(f"C1/C2-long decider-oracle equivalence, {target}, n=10", ok)
 
 
 def test_criterion_3_sigma_reproduction():

@@ -130,6 +130,13 @@ def test_realize_refused_with_verdict():
     assert "matches exception (5^2,4^6)" in out
 
 
+def test_realize_graph6_too_large_is_a_usage_error():
+    code, out, err = run(["realize", "62^63", "--format", "graph6"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n <= 62" in err
+
+
 def test_realize_dot():
     code, out, _ = run(["realize", "4^5", "--target", "k5-c4", "--format", "dot"])
     assert code == 0
@@ -198,6 +205,22 @@ def test_verify_bound_refusal():
     code, _, err = run(["verify", "--n", "12"])
     assert code == 2
     assert "bound" in err
+
+
+def test_verify_bad_bound_environment_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("POTSEQ_ORACLE_BOUND", "abc")
+    code, out, err = run(["verify", "--n", "6"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "POTSEQ_ORACLE_BOUND" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_rejects_nonpositive_jobs(jobs):
+    code, out, err = run(["verify", "--n", "6", "--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
 
 
 def test_verify_json_and_worker_determinism():

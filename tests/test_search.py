@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -10,12 +12,15 @@ from potseq.graphs import (
     complete_graph,
     contains_k6c4,
     degree_sequence_of,
+    encode_graph6,
     find_k6c4,
+    find_km_minus_c4,
 )
 from potseq.search import (
     EmbeddingFailure,
     NotPotentialError,
     OracleBoundError,
+    _complete,
     count_graphic_sequences,
     enumerate_graphic_sequences,
     oracle_decide_k6c4,
@@ -87,11 +92,49 @@ def test_realize_with_k6c4_unchecked_failure():
         realize_with_k6c4(seq("5^3,3^3"), unchecked=True)
 
 
+def test_certificates_are_byte_stable():
+    # graph6 of every certificate for a decider-yes sequence with n <= 8,
+    # pinned so that `potseq realize` output cannot drift
+    digest = hashlib.sha256()
+    for n in range(1, 9):
+        for s in enumerate_graphic_sequences(n):
+            for decide, realize in ((decide_k6c4, realize_with_k6c4), (decide_k5c4, realize_with_k5c4)):
+                if decide(s).is_yes:
+                    digest.update(encode_graph6(realize(s).graph).encode() + b"\n")
+    assert digest.hexdigest() == "9b213e6d2316eebaa73e2a15ac67d668ecca1e4331cdc8dbe8ab512c81d95fa0"
+
+
 def test_realize_with_k5c4():
     cert = realize_with_k5c4(seq("4^5"))
     assert cert.hosts == (0, 1, 2, 3, 4)
     assert cert.hubs == (0,)
     assert degree_sequence_of(cert.graph).terms == (4, 4, 4, 4, 4)
+
+
+def test_completion_engine_matches_brute_force():
+    # the realizer completes on top of a non-empty base; compare the engine's
+    # yes/no and its output with a plain enumeration of added-edge sets
+    rng = random.Random(11)
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        p = rng.random() * 0.6
+        base = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                base[u] |= 1 << v
+                base[v] |= 1 << u
+        demand = [rng.randint(0, 3) for _ in range(n)]
+        free = [(u, v) for u, v in itertools.combinations(range(n), 2) if not base[u] >> v & 1]
+        exists = sum(demand) % 2 == 0 and any(
+            all(sum(x in e for e in added) == demand[x] for x in range(n))
+            for added in itertools.combinations(free, sum(demand) // 2)
+        )
+        got = _complete(demand, base, None)
+        assert (got is not None) == exists, (base, demand)
+        if got is not None:
+            Graph(n, tuple(got))  # symmetric and loop-free
+            assert [(a & ~b).bit_count() for a, b in zip(got, base)] == demand
+            assert all(a & b == b for a, b in zip(got, base))
 
 
 # --- oracle -----------------------------------------------------------------
@@ -172,23 +215,35 @@ def test_enumeration_is_lexicographically_decreasing():
 
 
 def test_enumeration_matches_brute_force_graph_sweep():
-    # independent ground truth: degree sequences of every labeled graph
+    # independent ground truth: degree sequences of every labeled graph, and
+    # for each sequence whether some realization contains K6-C4 / K5-C4
     for n in range(2, 7):
         pairs = list(itertools.combinations(range(n), 2))
-        seen = set()
+        seen = {}
         for mask in range(1 << len(pairs)):
-            deg = [0] * n
+            adj = [0] * n
             m, i = mask, 0
             while m:
                 if m & 1:
                     u, v = pairs[i]
-                    deg[u] += 1
-                    deg[v] += 1
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
                 m >>= 1
                 i += 1
-            if min(deg) >= 1:
-                seen.add(tuple(sorted(deg, reverse=True)))
-        assert {s.terms for s in enumerate_graphic_sequences(n)} == seen
+            g = Graph(n, tuple(adj))
+            if 0 in g.degrees():
+                continue
+            terms = degree_sequence_of(g).terms
+            k6, k5 = seen.get(terms, (False, False))
+            if not (k6 and k5):
+                seen[terms] = (
+                    k6 or find_km_minus_c4(g, 6) is not None,
+                    k5 or find_km_minus_c4(g, 5) is not None,
+                )
+        sequences = list(enumerate_graphic_sequences(n))
+        assert {s.terms for s in sequences} == set(seen)
+        for s in sequences:
+            assert (oracle_decide_k6c4(s), oracle_decide_pattern(s, K5_MINUS_C4)) == seen[s.terms], s.terms
 
 
 def test_enumeration_min_term():
