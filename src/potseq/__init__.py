@@ -8,14 +8,12 @@ from .sequences import (
     SequenceShape,
     graphic_4321,
     is_graphic,
-    is_graphic_erdos_gallai,
     is_graphic_layoff,
     layoff,
     low_degree_graphic_guarantee,
     parse_notation,
     render_notation,
     shape_of,
-    sigma,
 )
 from .graphs import (
     Graph,
@@ -24,13 +22,11 @@ from .graphs import (
     PatternWitness,
     TargetPattern,
     complete_graph,
-    contains_k6c4,
     contains_pattern,
     cycle_graph,
     decode_graph6,
     degree_sequence_of,
     encode_graph6,
-    find_k6c4,
     find_km_minus_c4,
     from_edgelist,
     to_dot,

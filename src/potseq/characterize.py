@@ -58,15 +58,14 @@ __all__ = [
 K6C4 = "K6-C4"
 K5C4 = "K5-C4"
 
-_MIN_LENGTH = {K6C4: 6, K5C4: 5}
-
 
 @dataclass(frozen=True)
 class Verdict:
     """Decision plus a machine-readable reason code for the first failure.
 
     ``decision`` is "yes" iff ``reason`` is "OK".  Optional fields carry the
-    numbers behind the reason: ``lhs``/``rhs`` for threshold failures,
+    numbers behind the reason: ``lhs``/``rhs`` for threshold failures
+    (for ``TOO_SHORT``, n and the minimum length),
     ``exception_index``/``matched_exception`` for fixture hits, and
     ``family_k``/``family_i`` for the parameterized K5-C4 family.
     """
@@ -96,25 +95,24 @@ class ExceptionTable:
     """The fixed exceptional sequences of the K6-C4 characterization."""
 
     fixed: tuple[DegreeSequence, ...]
+    index: dict[tuple[int, ...], int]  # terms -> position in ``fixed``
 
     @classmethod
     def load(cls) -> "ExceptionTable":
         text = resources.files("potseq.data").joinpath("k6c4_exceptions.txt").read_text()
         entries = tuple(parse_notation(line) for line in text.splitlines() if line.strip())
-        if len(entries) != len({e.terms for e in entries}):
+        index = {e.terms: i for i, e in enumerate(entries)}
+        if len(index) != len(entries):
             raise ValueError("exception table has duplicate entries")
         for e in entries:
             if e.sigma % 2:
                 raise ValueError(f"exception table entry has odd sum: {render_notation(e)}")
             if not is_graphic(e):
                 raise ValueError(f"exception table entry is not graphic: {render_notation(e)}")
-        return cls(entries)
+        return cls(entries, index)
 
     def match(self, seq: DegreeSequence) -> int | None:
-        for i, e in enumerate(self.fixed):
-            if e.terms == seq.terms:
-                return i
-        return None
+        return self.index.get(seq.terms)
 
 
 _table: ExceptionTable | None = None
@@ -127,12 +125,10 @@ def k6c4_exceptions() -> ExceptionTable:
     return _table
 
 
-def _long_tail_family_terms(n: int, threes: int) -> tuple[int, ...] | None:
-    """(n-1,5,3^threes,1^rest) when the rest count is nonnegative, else None."""
-    rest = n - 2 - threes
-    if rest < 0:
-        return None
-    return (n - 1, 5) + (3,) * threes + (1,) * rest
+def _long_tail_family_terms(n: int, threes: int) -> tuple[int, ...]:
+    """(n-1,5,3^threes,1^(n-2-threes)); longer than n, so matching no
+    n-term sequence, when n < threes + 2."""
+    return (n - 1, 5) + (3,) * threes + (1,) * (n - 2 - threes)
 
 
 def _residual_embeddable(p: tuple[int, int, int], threes: int, twos: int, ones: int) -> bool:
@@ -200,7 +196,7 @@ def decide_k6c4(seq: DegreeSequence) -> Verdict:
     if not is_graphic(seq):
         return Verdict(K6C4, "no", "NOT_GRAPHIC", n=n)
     if n < 6:
-        return Verdict(K6C4, "no", "TOO_SHORT", n=n)
+        return Verdict(K6C4, "no", "TOO_SHORT", n=n, lhs=n, rhs=6)
     d = seq.terms
     if d[1] < 5:
         return Verdict(K6C4, "no", "COND1_D2", n=n, lhs=d[1], rhs=5)
@@ -223,9 +219,9 @@ def decide_k6c4(seq: DegreeSequence) -> Verdict:
             exception_index=idx,
             matched_exception=render_notation(table.fixed[idx]),
         )
-    if n >= 7 and seq.terms == _long_tail_family_terms(n, 5):
+    if d == _long_tail_family_terms(n, 5):
         return Verdict(K6C4, "no", "COND3_FAMILY_A", n=n, matched_exception=render_notation(seq))
-    if n >= 8 and seq.terms == _long_tail_family_terms(n, 6):
+    if d == _long_tail_family_terms(n, 6):
         return Verdict(K6C4, "no", "COND3_FAMILY_B", n=n, matched_exception=render_notation(seq))
     if shape is not None and shape.matches:
         if not _shape_case_potential(d, shape.k, shape.t, shape.ones):
@@ -244,7 +240,7 @@ def decide_k5c4(seq: DegreeSequence) -> Verdict:
     if not is_graphic(seq):
         return Verdict(K5C4, "no", "NOT_GRAPHIC", n=n)
     if n < 5:
-        return Verdict(K5C4, "no", "TOO_SHORT", n=n)
+        return Verdict(K5C4, "no", "TOO_SHORT", n=n, lhs=n, rhs=5)
     d = seq.terms
     if d[0] < 4:
         return Verdict(K5C4, "no", "COND1_D1", n=n, lhs=d[0], rhs=4)
@@ -262,18 +258,19 @@ def decide_k5c4(seq: DegreeSequence) -> Verdict:
             )
     if d == (n - 2, n - 2) + (2,) * (n - 2):
         return Verdict(K5C4, "no", "COND2_FAMILY_SQUARE", n=n, matched_exception=render_notation(seq))
-    for k in range(1, (n - 1) // 2):
-        for i in range(3, n - 2 * k + 1):
-            if d == _k5c4_family_terms(n, k, i):
-                return Verdict(
-                    K5C4,
-                    "no",
-                    "COND2_FAMILY_KI",
-                    n=n,
-                    family_k=k,
-                    family_i=i,
-                    matched_exception=render_notation(seq),
-                )
+    # a family member fixes k by d1 and then i by d2
+    k = n - d[0]
+    i = d[1] - k
+    if 1 <= k < (n - 1) // 2 and 3 <= i <= n - 2 * k and d == _k5c4_family_terms(n, k, i):
+        return Verdict(
+            K5C4,
+            "no",
+            "COND2_FAMILY_KI",
+            n=n,
+            family_k=k,
+            family_i=i,
+            matched_exception=render_notation(seq),
+        )
     return Verdict(K5C4, "yes", "OK", n=n)
 
 
@@ -285,40 +282,41 @@ def sigma_formula_k6c4(n: int) -> int:
     return 6 * n - 10
 
 
+_EXPLANATIONS = {
+    "OK": "potentially {target}-graphic",
+    "NOT_GRAPHIC": "not graphic",
+    "TOO_SHORT": "too short: n = {lhs} < {rhs}",
+    "COND1_D2": "fails condition (1): d2 = {lhs} < {rhs}",
+    "COND1_D6": "fails condition (1): d6 = {lhs} < {rhs}",
+    "COND2_SUM": "fails condition (2): d1+d2+d3 = {lhs} > n+2k+t+1 = {rhs}",
+    "COND2_RESIDUAL": "fails condition (2) in exact residual form: head demand has no tail embedding",
+    "COND3_FIXED": "matches exception ({matched_exception})",
+    "COND3_FAMILY_A": "matches exception family (n-1,5,3^5,1^(n-7)) at n = {n}",
+    "COND3_FAMILY_B": "matches exception family (n-1,5,3^6,1^(n-8)) at n = {n}",
+    "COND1_D1": "fails condition (1): d1 = {lhs} < {rhs}",
+    "COND1_D5": "fails condition (1): d5 = {lhs} < {rhs}",
+    "COND2_FIXED": "matches exception ({matched_exception})",
+    "COND2_FAMILY_SQUARE": "matches exception family ((n-2)^2,2^(n-2)) at n = {n}",
+    "COND2_FAMILY_KI": (
+        "matches exception family (n-k,k+i,2^i,1^(n-i-2)) with k = {family_k}, i = {family_i}"
+    ),
+}
+
+
 def explain(verdict: Verdict) -> str:
     """One-line human-readable explanation; stable strings for snapshots."""
     v = verdict
-    if v.reason == "OK":
-        return f"potentially {v.target}-graphic"
-    if v.reason == "NOT_GRAPHIC":
-        return "not graphic"
-    if v.reason == "TOO_SHORT":
-        return f"too short: n = {v.n} < {_MIN_LENGTH[v.target]}"
-    if v.reason == "COND1_D2":
-        return f"fails condition (1): d2 = {v.lhs} < 5"
-    if v.reason == "COND1_D6":
-        return f"fails condition (1): d6 = {v.lhs} < 3"
-    if v.reason == "COND2_SUM":
-        return f"fails condition (2): d1+d2+d3 = {v.lhs} > n+2k+t+1 = {v.rhs}"
-    if v.reason == "COND2_RESIDUAL":
-        return "fails condition (2) in exact residual form: head demand has no tail embedding"
-    if v.reason == "COND3_FIXED":
-        return f"matches exception ({v.matched_exception})"
-    if v.reason == "COND3_FAMILY_A":
-        return f"matches exception family (n-1,5,3^5,1^(n-7)) at n = {v.n}"
-    if v.reason == "COND3_FAMILY_B":
-        return f"matches exception family (n-1,5,3^6,1^(n-8)) at n = {v.n}"
-    if v.reason == "COND1_D1":
-        return f"fails condition (1): d1 = {v.lhs} < 4"
-    if v.reason == "COND1_D5":
-        return f"fails condition (1): d5 = {v.lhs} < 2"
-    if v.reason == "COND2_FIXED":
-        return f"matches exception ({v.matched_exception})"
-    if v.reason == "COND2_FAMILY_SQUARE":
-        return f"matches exception family ((n-2)^2,2^(n-2)) at n = {v.n}"
-    if v.reason == "COND2_FAMILY_KI":
-        return (
-            f"matches exception family (n-k,k+i,2^i,1^(n-i-2)) "
-            f"with k = {v.family_k}, i = {v.family_i}"
-        )
-    raise ValueError(f"unknown reason code {v.reason!r}")
+    template = _EXPLANATIONS.get(v.reason)
+    if template is None:
+        raise ValueError(f"unknown reason code {v.reason!r}")
+    # named fields, not vars(v): vars() materializes a __dict__ on each
+    # Verdict, which raises the memory of every verdict a caller keeps
+    return template.format(
+        target=v.target,
+        n=v.n,
+        lhs=v.lhs,
+        rhs=v.rhs,
+        matched_exception=v.matched_exception,
+        family_k=v.family_k,
+        family_i=v.family_i,
+    )

@@ -2,8 +2,8 @@
 
 Commands: check-graphic, check, realize, sigma, verify.  Exit codes are
 uniform across commands: 0 = yes/success, 1 = principled no, 2 = usage or
-bounds error, 3 = internal invariant breach.  Data goes to stdout; progress
-and diagnostics go to stderr.
+bounds error, 3 = internal invariant breach or any other unexpected error.
+Data goes to stdout; progress and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -12,32 +12,17 @@ import argparse
 import json
 import sys
 
-from .characterize import decide_k5c4, decide_k6c4, explain, sigma_formula_k6c4
-from .graphs import K5_MINUS_C4, K6_MINUS_C4, encode_graph6, to_dot, to_edgelist
-from .search import (
-    EmbeddingFailure,
-    NotPotentialError,
-    OracleBoundError,
-    realize_with_k5c4,
-    realize_with_k6c4,
-    sigma_search,
-    verify_range,
-)
+from .characterize import explain
+from .graphs import encode_graph6, to_dot, to_edgelist
+from .search import TARGETS, NotPotentialError, OracleBoundError, sigma_search, verify_range
 from .sequences import (
-    DegreeSequence,
-    NotationError,
-    is_graphic_erdos_gallai,
-    is_graphic_layoff,
-    parse_notation,
-    render_notation,
+    DegreeSequence, NotationError, is_graphic, is_graphic_layoff, parse_notation, render_notation
 )
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BREACH = 3
-
-_TARGETS = {"k6-c4": K6_MINUS_C4, "k5-c4": K5_MINUS_C4}
 
 
 def _parse_sequence_or_exit(text: str) -> DegreeSequence:
@@ -54,7 +39,7 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_check_graphic(args: argparse.Namespace) -> int:
     seq = _parse_sequence_or_exit(args.sequence)
-    by_inequalities = is_graphic_erdos_gallai(seq)
+    by_inequalities = is_graphic(seq)
     by_layoff = is_graphic_layoff(seq)
     if by_inequalities != by_layoff:
         print(
@@ -82,8 +67,7 @@ def _cmd_check_graphic(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     seq = _parse_sequence_or_exit(args.sequence)
-    decide = decide_k6c4 if args.target == "k6-c4" else decide_k5c4
-    verdict = decide(seq)
+    verdict = TARGETS[args.target].decide(seq)
     if args.json:
         _emit_json(
             {
@@ -106,16 +90,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     seq = _parse_sequence_or_exit(args.sequence)
-    realize = realize_with_k6c4 if args.target == "k6-c4" else realize_with_k5c4
     try:
-        cert = realize(seq)
+        cert = TARGETS[args.target].realize(seq)
     except NotPotentialError as exc:
         print(f"sequence: {render_notation(seq)}")
         print(explain(exc.verdict))
         return EXIT_NO
-    except EmbeddingFailure as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_BREACH
     comments = [
         f"sequence: {render_notation(seq)}",
         f"target: {args.target}",
@@ -140,27 +120,27 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sigma(args: argparse.Namespace) -> int:
-    target = _TARGETS[args.target]
-    minimum = 6 if args.target == "k6-c4" else 5
-    if args.n < minimum:
-        print(f"error: sigma for {target.name} needs n >= {minimum}", file=sys.stderr)
+    target = TARGETS[args.target]
+    pattern = target.pattern
+    if args.n < pattern.vertex_count:
+        print(f"error: sigma for {pattern.name} needs n >= {pattern.vertex_count}", file=sys.stderr)
         return EXIT_USAGE
-    if args.target != "k6-c4" and args.mode != "search":
+    if target.sigma_formula is None and args.mode != "search":
         print("error: no closed-form sigma for this target; use --mode search", file=sys.stderr)
         return EXIT_USAGE
     if args.mode in ("search", "both"):
         try:
-            found = sigma_search(args.n, target, bound=args.oracle_bound)
+            found = sigma_search(args.n, pattern, bound=args.oracle_bound)
         except OracleBoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     if args.mode == "formula":
-        print(sigma_formula_k6c4(args.n))
+        print(target.sigma_formula(args.n))
         return EXIT_YES
     if args.mode == "search":
         print(found.value)
         return EXIT_YES
-    formula = sigma_formula_k6c4(args.n)
+    formula = target.sigma_formula(args.n)
     witness = render_notation(found.witness) if found.witness is not None else "-"
     print(f"formula={formula} search={found.value} witness=({witness})")
     if formula != found.value:
@@ -180,14 +160,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_n_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-        if not values:
-            raise ValueError(f"empty range {text!r}")
-        return values
-    return [int(text)]
+def _parse_n_range(text: str) -> range:
+    lo, sep, hi = text.partition("..")
+    values = range(int(lo), int(hi if sep else lo) + 1)
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    if values.start < 1:
+        raise ValueError(f"n must be at least 1, got {values.start}")
+    return values
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -196,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad --n value: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    target = _TARGETS[args.target]
+    target = TARGETS[args.target].pattern
     reports = []
     for n in ns:
         def progress(done: int, total: int, n: int = n) -> None:
@@ -234,26 +214,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="is the sequence potentially target-graphic?")
     p.add_argument("sequence")
-    p.add_argument("--target", choices=sorted(_TARGETS), default="k6-c4")
+    p.add_argument("--target", choices=sorted(TARGETS), default="k6-c4")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("realize", help="emit a realization carrying the target")
     p.add_argument("sequence")
-    p.add_argument("--target", choices=sorted(_TARGETS), default="k6-c4")
+    p.add_argument("--target", choices=sorted(TARGETS), default="k6-c4")
     p.add_argument("--format", choices=("edgelist", "graph6", "dot"), default="edgelist")
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("sigma", help="smallest sum forcing the target, by formula or search")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", choices=sorted(_TARGETS), default="k6-c4")
+    p.add_argument("--target", choices=sorted(TARGETS), default="k6-c4")
     p.add_argument("--mode", choices=("formula", "search", "both"), default="both")
     p.add_argument("--oracle-bound", type=int, default=None)
     p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("verify", help="compare decider against the exhaustive oracle")
     p.add_argument("--n", required=True, help="length, or an inclusive range like 5..8")
-    p.add_argument("--target", choices=sorted(_TARGETS), default="k6-c4")
+    p.add_argument("--target", choices=sorted(TARGETS), default="k6-c4")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--oracle-bound", type=int, default=None)
     p.add_argument("--json", action="store_true")
@@ -264,7 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # every failure a command does not handle is a breach
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_BREACH
 
 
 if __name__ == "__main__":

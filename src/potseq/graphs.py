@@ -8,6 +8,7 @@ subgraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .sequences import DegreeSequence
@@ -20,8 +21,6 @@ __all__ = [
     "K5_MINUS_C4",
     "complete_graph",
     "cycle_graph",
-    "contains_k6c4",
-    "find_k6c4",
     "find_km_minus_c4",
     "contains_pattern",
     "degree_sequence_of",
@@ -211,20 +210,12 @@ def find_km_minus_c4(g: Graph, m: int) -> PatternWitness | None:
     return _find_km_minus_c4_adj(g.adj, g.n, m - 4)
 
 
-def find_k6c4(g: Graph) -> PatternWitness | None:
-    """Witness for a K6 - C4 subgraph: two adjacent hubs with four common
-    neighbors carrying two disjoint edges.  Extra edges are permitted."""
-    return _find_km_minus_c4_adj(g.adj, g.n, 2)
-
-
-def contains_k6c4(g: Graph) -> bool:
-    return find_k6c4(g) is not None
-
-
-def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern) -> bool:
+@lru_cache(maxsize=16)  # bounded: contains_pattern takes any pattern
+def _embedding_steps(pattern: TargetPattern) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The order in which ``_contains_pattern_adj`` maps pattern vertices:
+    per step, the vertex's pattern degree and the earlier steps whose
+    vertices it must be adjacent to."""
     p = pattern.vertex_count
-    if p > n:
-        return False
     pdeg = [0] * p
     padj = [0] * p
     for u, v in pattern.edges:
@@ -248,32 +239,45 @@ def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern) ->
                 best = x
         order.append(best)
         placed |= 1 << best
+    return tuple(
+        (pdeg[x], tuple(j for j, y in enumerate(order[:idx]) if padj[x] >> y & 1))
+        for idx, x in enumerate(order)
+    )
 
-    host_deg = [adj[v].bit_count() for v in range(n)]
-    assign = [-1] * p
 
-    def rec(idx: int, used: int) -> bool:
-        if idx == p:
-            return True
-        x = order[idx]
-        need = pdeg[x]
-        for v in range(n):
-            if used >> v & 1 or host_deg[v] < need:
-                continue
-            ok = True
-            back = padj[x]
-            for y in order[:idx]:
-                if back >> y & 1 and not (adj[v] >> assign[y] & 1):
-                    ok = False
-                    break
-            if ok:
-                assign[x] = v
-                if rec(idx + 1, used | (1 << v)):
-                    return True
-                assign[x] = -1
+def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern) -> bool:
+    if pattern.vertex_count > n:
         return False
+    host_deg = [adj[v].bit_count() for v in range(n)]
+    steps = _embedding_steps(pattern)
+    return _embed(adj, host_deg, steps, [-1] * len(steps), 0, (1 << n) - 1)
 
-    return rec(0, 0)
+
+def _embed(
+    adj: Sequence[int],
+    host_deg: list[int],
+    steps: tuple[tuple[int, tuple[int, ...]], ...],
+    assign: list[int],
+    idx: int,
+    free: int,
+) -> bool:
+    """Map steps ``idx``.. onto the host vertices in the bitmask ``free``,
+    given the hosts ``assign[:idx]`` of the earlier steps."""
+    if idx == len(steps):
+        return True
+    need, back = steps[idx]
+    cands = free
+    for j in back:
+        cands &= adj[assign[j]]
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        v = low.bit_length() - 1
+        if host_deg[v] >= need:
+            assign[idx] = v
+            if _embed(adj, host_deg, steps, assign, idx + 1, free ^ low):
+                return True
+    return False
 
 
 def contains_pattern(g: Graph, pattern: TargetPattern) -> bool:

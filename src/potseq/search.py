@@ -25,17 +25,18 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
-from .characterize import K5C4, K6C4, Verdict, decide_k5c4, decide_k6c4
+from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
 from .graphs import (
     Graph,
     K5_MINUS_C4,
     K6_MINUS_C4,
-    PatternWitness,
     TargetPattern,
     _contains_pattern_adj,
     _find_km_minus_c4_adj,
@@ -63,6 +64,8 @@ __all__ = [
     "count_graphic_sequences",
     "sigma_search",
     "verify_range",
+    "Target",
+    "TARGETS",
 ]
 
 DEFAULT_ORACLE_BOUND = 10
@@ -316,15 +319,15 @@ class RealizationCertificate:
         self.checked = True
 
 
-def _role_assignments(d: Sequence[int], m: int) -> list[tuple[tuple[int, ...], tuple]]:
+def _role_assignments(d: Sequence[int], m: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Candidate (hubs, matched pairs) placements on hosts 0..m-1, deduplicated.
 
     Two placements with equal hub residual multisets and equal multisets of
     per-pair residual pairs yield isomorphic completion problems, so only the
-    first of each class is kept.
+    first of each class is yielded.  Lazy, since the first placement
+    usually completes.
     """
     hubs_count = m - 4
-    out = []
     seen = set()
     for hubs in combinations(range(m), hubs_count):
         if any(d[h] < m - 1 for h in hubs):
@@ -344,11 +347,18 @@ def _role_assignments(d: Sequence[int], m: int) -> list[tuple[tuple[int, ...], t
             if key in seen:
                 continue
             seen.add(key)
-            out.append((hubs, pairs))
-    return out
+            yield hubs, pairs
 
 
-def _realize_with_km_c4(seq: DegreeSequence, m: int) -> RealizationCertificate:
+def _realize_with_km_c4(
+    seq: DegreeSequence, m: int, decide: Callable[[DegreeSequence], Verdict] | None
+) -> RealizationCertificate:
+    """Realization with K_m - C4 on the m largest-degree vertices; refuses
+    the sequences ``decide`` rejects unless it is None."""
+    if decide is not None:
+        verdict = decide(seq)
+        if not verdict.is_yes:
+            raise NotPotentialError(verdict)
     n = seq.n
     if n < m:
         raise EmbeddingFailure(f"need at least {m} positive terms, have {n}")
@@ -396,20 +406,12 @@ def realize_with_k6c4(seq: DegreeSequence, unchecked: bool = False) -> Realizati
     (used to probe the completeness claim).  Raises EmbeddingFailure when no
     placement completes, which for decider-yes input indicates a bug.
     """
-    if not unchecked:
-        verdict = decide_k6c4(seq)
-        if not verdict.is_yes:
-            raise NotPotentialError(verdict)
-    return _realize_with_km_c4(seq, 6)
+    return _realize_with_km_c4(seq, 6, None if unchecked else decide_k6c4)
 
 
 def realize_with_k5c4(seq: DegreeSequence, unchecked: bool = False) -> RealizationCertificate:
     """Realization with K5 - C4 on the five largest-degree vertices."""
-    if not unchecked:
-        verdict = decide_k5c4(seq)
-        if not verdict.is_yes:
-            raise NotPotentialError(verdict)
-    return _realize_with_km_c4(seq, 5)
+    return _realize_with_km_c4(seq, 5, None if unchecked else decide_k5c4)
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +467,15 @@ def sigma_search(n: int, target: TargetPattern = K6_MINUS_C4, bound: int | None 
     Decided by the exhaustive oracle for every target, so the value is
     independent of the closed-form deciders.
     """
-    minimum = 6 if target.name == K6C4 else 5
-    if n < minimum:
-        raise ValueError(f"sigma search for {target.name} requires n >= {minimum}")
+    oracle = TARGETS[_key_of(target)].oracle
+    if n < target.vertex_count:
+        raise ValueError(f"sigma search for {target.name} requires n >= {target.vertex_count}")
     limit = resolve_oracle_bound(bound)
     if n > limit:
         raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {limit}")
     best: DegreeSequence | None = None
     for seq in enumerate_graphic_sequences(n):
-        if target == K6_MINUS_C4:
-            potential = oracle_decide_k6c4(seq, bound=limit)
-        else:
-            potential = oracle_decide_pattern(seq, target, bound=limit)
-        if not potential and (best is None or seq.sigma > best.sigma):
+        if not oracle(seq, bound=limit) and (best is None or seq.sigma > best.sigma):
             best = seq
     value = 0 if best is None else best.sigma + 2
     return SigmaSearchResult(n=n, target=target.name, value=value, witness=best)
@@ -528,17 +526,11 @@ class VerificationReport:
 
 
 def _verify_one(args: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]:
-    terms, target_name, bound = args
+    terms, key, bound = args
     seq = DegreeSequence(terms)
-    if target_name == K6C4:
-        verdict = decide_k6c4(seq)
-        oracle = oracle_decide_k6c4(seq, bound=bound)
-    elif target_name == K5C4:
-        verdict = decide_k5c4(seq)
-        oracle = oracle_decide_pattern(seq, K5_MINUS_C4, bound=bound)
-    else:
-        raise ValueError(f"no decider for target {target_name!r}")
-    return (verdict.decision, verdict.reason, oracle)
+    target = TARGETS[key]
+    verdict = target.decide(seq)
+    return (verdict.decision, verdict.reason, target.oracle(seq, bound=bound))
 
 
 def verify_range(
@@ -558,24 +550,14 @@ def verify_range(
         raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {limit}")
     start = time.perf_counter()
     seqs = list(enumerate_graphic_sequences(n))
-    tasks = [(s.terms, target.name, limit) for s in seqs]
+    key = _key_of(target)
+    tasks = [(s.terms, key, limit) for s in seqs]
     mismatches: list[Mismatch] = []
-    done = 0
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(processes=jobs) as pool:
-            results = pool.imap(_verify_one, tasks, chunksize=8)
-            for seq, (decision, reason, oracle) in zip(seqs, results):
-                if (decision == "yes") != oracle:
-                    mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))
-                done += 1
-                if progress is not None:
-                    progress(done, len(seqs))
-    else:
-        for seq, task in zip(seqs, tasks):
-            decision, reason, oracle = _verify_one(task)
+    with Pool(processes=jobs) if jobs > 1 and len(tasks) > 1 else nullcontext() as pool:
+        results = pool.imap(_verify_one, tasks, chunksize=8) if pool else map(_verify_one, tasks)
+        for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
             if (decision == "yes") != oracle:
                 mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))
-            done += 1
             if progress is not None:
                 progress(done, len(seqs))
     return VerificationReport(
@@ -586,3 +568,37 @@ def verify_range(
         mismatches=mismatches,
         wall_time=time.perf_counter() - start,
     )
+
+
+# ---------------------------------------------------------------------------
+# target registry
+
+
+@dataclass(frozen=True)
+class Target:
+    """What potseq knows about one pattern: its closed-form decider, its
+    constructive realizer, its exhaustive oracle (``oracle(seq, bound=)``)
+    and, when the paper gives one, its sigma formula.  The minimum sequence
+    length is ``pattern.vertex_count``."""
+
+    pattern: TargetPattern
+    decide: Callable[[DegreeSequence], Verdict]
+    realize: Callable[[DegreeSequence], RealizationCertificate]
+    oracle: Callable[..., bool]
+    sigma_formula: Callable[[int], int] | None
+
+
+TARGETS = {
+    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, realize_with_k6c4, oracle_decide_k6c4, sigma_formula_k6c4),
+    "k5-c4": Target(
+        K5_MINUS_C4, decide_k5c4, realize_with_k5c4,
+        partial(oracle_decide_pattern, pattern=K5_MINUS_C4), None,
+    ),
+}
+
+
+def _key_of(pattern: TargetPattern) -> str:
+    for key, target in TARGETS.items():
+        if target.pattern == pattern:
+            return key
+    raise ValueError(f"no registered target for pattern {pattern.name!r}")

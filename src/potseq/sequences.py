@@ -19,10 +19,9 @@ __all__ = [
     "NotationError",
     "parse_notation",
     "render_notation",
-    "sigma",
+    "MAX_TERMS",
     "layoff",
     "is_graphic",
-    "is_graphic_erdos_gallai",
     "is_graphic_layoff",
     "low_degree_graphic_guarantee",
     "graphic_4321",
@@ -108,9 +107,16 @@ class SequenceShape:
 
 _ITEM_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
 
+# Most terms a literal may expand to, counted before any list is built, so a
+# short literal such as "1^10000000000" cannot exhaust memory.
+MAX_TERMS = 1_000_000
+
 
 def parse_notation(text: str) -> DegreeSequence:
-    """Parse exponent notation (``"5^2,4^6"``) into a normalized sequence."""
+    """Parse exponent notation (``"5^2,4^6"``) into a normalized sequence.
+
+    A literal expanding to more than ``MAX_TERMS`` terms is refused.
+    """
     if text is None or not text.strip():
         raise NotationError(text or "", "empty sequence literal")
     values: list[int] = []
@@ -118,13 +124,15 @@ def parse_notation(text: str) -> DegreeSequence:
         m = _ITEM_RE.match(item)
         if m is None:
             raise NotationError(item.strip() or item, "malformed item")
-        value = int(m.group(1))
-        if m.group(2) is None:
-            count = 1
-        else:
-            count = int(m.group(2))
-            if count < 1:
-                raise NotationError(item.strip(), "repeat count must be >= 1")
+        try:
+            value = int(m.group(1))
+            count = 1 if m.group(2) is None else int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise NotationError(item.strip(), "number too long") from None
+        if count < 1:
+            raise NotationError(item.strip(), "repeat count must be >= 1")
+        if len(values) + count > MAX_TERMS:
+            raise NotationError(item.strip(), f"literal has more than {MAX_TERMS} terms")
         values.extend([value] * count)
     return DegreeSequence.of(values)
 
@@ -136,11 +144,6 @@ def render_notation(seq: DegreeSequence) -> str:
         count = sum(1 for _ in run)
         parts.append(f"{value}^{count}" if count > 1 else str(value))
     return ",".join(parts)
-
-
-def sigma(seq: DegreeSequence) -> int:
-    """Sum of the terms."""
-    return seq.sigma
 
 
 def layoff(seq: DegreeSequence, k: int | None = None, raw: bool = False):
@@ -207,11 +210,6 @@ def _eg_ok(terms) -> bool:
         if prefix > r * (r - 1) + tail:
             return False
     return True
-
-
-def is_graphic_erdos_gallai(seq: DegreeSequence) -> bool:
-    """True iff the sequence is realized by some simple graph (inequality test)."""
-    return _eg_ok(seq.terms)
 
 
 def is_graphic_layoff(seq: DegreeSequence) -> bool:

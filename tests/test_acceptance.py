@@ -28,7 +28,7 @@ from potseq.graphs import (
     decode_graph6,
     degree_sequence_of,
     encode_graph6,
-    find_k6c4,
+    find_km_minus_c4,
 )
 from potseq.search import (
     enumerate_graphic_sequences,
@@ -206,7 +206,7 @@ def test_criterion_7_constructor_completeness_and_soundness():
             ok = ok and cert.checked
             ok = ok and cert.hosts == tuple(range(6))
             ok = ok and degree_sequence_of(cert.graph).terms == s.terms
-            witness = find_k6c4(cert.graph)
+            witness = find_km_minus_c4(cert.graph, 6)
             ok = ok and witness is not None
             assert ok, s.terms
     ok = ok and count == 547

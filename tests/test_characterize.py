@@ -99,6 +99,11 @@ def test_decide_k6c4_cond2_numbers():
     assert (v.lhs, v.rhs) == (18, 16)
 
 
+def test_too_short_carries_length_and_minimum():
+    v6, v5 = decide_k6c4(seq("2^3")), decide_k5c4(seq("3^4"))
+    assert (v6.lhs, v6.rhs, v5.lhs, v5.rhs) == (3, 6, 4, 5)
+
+
 def test_decide_k6c4_fixed_carries_index_and_notation():
     v = decide_k6c4(seq("5^2,4^6"))
     assert v.exception_index == 0
@@ -156,6 +161,19 @@ def test_decide_k5c4_family_parameters():
     assert (v.family_k, v.family_i) == (1, 4)
 
 
+def test_decide_k5c4_every_family_member():
+    # (n-k,k+i,2^i,1^(n-i-2)) for i = 3..n-2k, k = 1..floor((n-1)/2)-1
+    for n in range(5, 41):
+        for k in range(1, (n - 1) // 2):
+            for i in range(3, n - 2 * k + 1):
+                terms = (n - k, k + i) + (2,) * i + (1,) * (n - i - 2)
+                v = decide_k5c4(DegreeSequence(terms))
+                assert (v.reason, v.family_k, v.family_i) == ("COND2_FAMILY_KI", k, i), terms
+                if n - i - 2 >= 2:
+                    raised = tuple(sorted(terms[:-2] + (2, 2), reverse=True))
+                    assert decide_k5c4(DegreeSequence(raised)).reason != "COND2_FAMILY_KI", raised
+
+
 # --- sigma formula ----------------------------------------------------------
 
 
@@ -179,15 +197,22 @@ def test_sigma_formula_domain():
         ("5^2,4^6", "k6", "matches exception (5^2,4^6)"),
         ("5^2,4^5", "k6", "potentially K6-C4-graphic"),
         ("4^6", "k6", "fails condition (1): d2 = 4 < 5"),
+        ("5^2,3^2,2^2", "k6", "fails condition (1): d6 = 2 < 3"),
         ("3^3,1", "k6", "not graphic"),
         ("2^3", "k6", "too short: n = 3 < 6"),
         ("6,5,3^5", "k6", "matches exception family (n-1,5,3^5,1^(n-7)) at n = 7"),
+        ("7,5,3^6", "k6", "matches exception family (n-1,5,3^6,1^(n-8)) at n = 8"),
         (
             "6,5^2,3^4",
             "k6",
             "fails condition (2) in exact residual form: head demand has no tail embedding",
         ),
         ("4^5", "k5", "potentially K5-C4-graphic"),
+        ("3^3,1", "k5", "not graphic"),
+        ("3^4", "k5", "too short: n = 4 < 5"),
+        ("3^4,2", "k5", "fails condition (1): d1 = 3 < 4"),
+        ("4,2^2,1^2", "k5", "fails condition (1): d5 = 1 < 2"),
+        ("4,2^5", "k5", "matches exception (4,2^5)"),
         ("4^2,2^4", "k5", "matches exception family ((n-2)^2,2^(n-2)) at n = 6"),
         (
             "5,4,2^3,1",
@@ -199,3 +224,8 @@ def test_sigma_formula_domain():
 def test_explain_snapshots(text, target, line):
     decide = decide_k6c4 if target == "k6" else decide_k5c4
     assert explain(decide(seq(text))) == line
+
+
+def test_explain_rejects_unknown_reason():
+    with pytest.raises(ValueError):
+        explain(Verdict("K6-C4", "no", "NO_SUCH_REASON"))

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -7,6 +8,7 @@ import pytest
 import potseq.cli as cli
 from potseq.graphs import decode_graph6
 from potseq.search import Mismatch, VerificationReport
+from potseq.sequences import MAX_TERMS
 
 
 def run(argv):
@@ -97,6 +99,24 @@ def test_check_json_schema():
         "reason": "COND3_FIXED",
         "matched_exception": "5^2,4^6",
     }
+
+
+def test_check_too_many_terms_is_a_usage_error():
+    code, out, err = run(["check", f"1^{MAX_TERMS + 1}"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse sequence")
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
+    def boom(seq):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.TARGETS, "k6-c4", dataclasses.replace(cli.TARGETS["k6-c4"], decide=boom))
+    code, out, err = run(["check", "5^6"])
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"
 
 
 def test_check_json_is_byte_deterministic():
@@ -199,6 +219,14 @@ def test_verify_range_expression():
     code, out, _ = run(["verify", "--n", "5..6", "--target", "k5-c4"])
     assert code == 0
     assert "n=5" in out and "n=6" in out
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "0..3"])
+def test_verify_rejects_n_below_one(n):
+    code, out, err = run(["verify", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --n value")
 
 
 def test_verify_bound_refusal():

@@ -8,18 +8,20 @@ from potseq.graphs import (
     K5_MINUS_C4,
     K6_MINUS_C4,
     complete_graph,
-    contains_k6c4,
     contains_pattern,
     cycle_graph,
     decode_graph6,
     degree_sequence_of,
     encode_graph6,
-    find_k6c4,
     find_km_minus_c4,
     from_edgelist,
     to_dot,
     to_edgelist,
 )
+
+
+def contains_k6c4(g):
+    return find_km_minus_c4(g, 6) is not None
 
 
 def k6_minus(removed):
@@ -105,7 +107,7 @@ def test_contains_k6c4_tripartite_plus_apex():
 
 def test_witness_roles_verify():
     g = k6_minus([(0, 1), (2, 3)])
-    w = find_k6c4(g)
+    w = find_km_minus_c4(g, 6)
     assert w is not None
     h1, h2 = w.hubs
     assert g.has_edge(h1, h2)
@@ -142,6 +144,7 @@ def test_contains_equivalence_exhaustive_n6():
             i += 1
         g = Graph(6, tuple(adj))
         assert contains_k6c4(g) == contains_pattern(g, K6_MINUS_C4), g.adj
+        assert (find_km_minus_c4(g, 5) is not None) == contains_pattern(g, K5_MINUS_C4), g.adj
 
 
 def test_contains_equivalence_random_n8():

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potseq.sequences import (
+    MAX_TERMS,
     DegreeSequence,
     NotationError,
     graphic_4321,
     is_graphic,
-    is_graphic_erdos_gallai,
     is_graphic_layoff,
     layoff,
     low_degree_graphic_guarantee,
     parse_notation,
     render_notation,
     shape_of,
-    sigma,
 )
 
 
@@ -59,6 +58,17 @@ def test_parse_rejects_malformed(bad):
         parse_notation(bad)
 
 
+def test_parse_refuses_literals_over_max_terms():
+    # the running count is checked first, so a broken guard fails here,
+    # before the huge literals below could allocate anything
+    with pytest.raises(NotationError):
+        parse_notation(f"2^{MAX_TERMS},1")
+    for text in ("1^10000000000", "1^" + "9" * 5000, "9" * 5000):
+        with pytest.raises(NotationError):
+            parse_notation(text)
+    assert parse_notation(f"1^{MAX_TERMS}").n == MAX_TERMS
+
+
 def test_parse_error_names_token():
     with pytest.raises(NotationError) as exc:
         parse_notation("5,x7,3")
@@ -91,7 +101,7 @@ def test_parse_render_round_trip(values):
     [("5^2,4^6", 34), ("6^3,3^4", 30), ("5^2,3^4", 22)],
 )
 def test_sigma(text, value):
-    assert sigma(seq(text)) == value
+    assert seq(text).sigma == value
 
 
 # --- layoff -----------------------------------------------------------------
@@ -159,7 +169,7 @@ def all_sequences(max_n, max_term):
 
 def test_dual_test_agreement_exhaustive_small():
     for s in all_sequences(6, 5):
-        assert is_graphic_erdos_gallai(s) == is_graphic_layoff(s), s.terms
+        assert is_graphic(s) == is_graphic_layoff(s), s.terms
 
 
 def test_dual_test_agreement_random():
@@ -167,7 +177,7 @@ def test_dual_test_agreement_random():
     for _ in range(100_000):
         n = rng.randint(1, 30)
         s = DegreeSequence.of(rng.randint(0, n - 1) if n > 1 else 0 for _ in range(n))
-        assert is_graphic_erdos_gallai(s) == is_graphic_layoff(s), s.terms
+        assert is_graphic(s) == is_graphic_layoff(s), s.terms
 
 
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12))
