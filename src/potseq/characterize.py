@@ -219,10 +219,11 @@ def decide_k6c4(seq: DegreeSequence) -> Verdict:
             exception_index=idx,
             matched_exception=render_notation(table.fixed[idx]),
         )
-    if d == _long_tail_family_terms(n, 5):
-        return Verdict(K6C4, "no", "COND3_FAMILY_A", n=n, matched_exception=render_notation(seq))
-    if d == _long_tail_family_terms(n, 6):
-        return Verdict(K6C4, "no", "COND3_FAMILY_B", n=n, matched_exception=render_notation(seq))
+    if d[0] == n - 1 and d[1] == 5:  # the head of both families
+        if d == _long_tail_family_terms(n, 5):
+            return Verdict(K6C4, "no", "COND3_FAMILY_A", n=n, matched_exception=render_notation(seq))
+        if d == _long_tail_family_terms(n, 6):
+            return Verdict(K6C4, "no", "COND3_FAMILY_B", n=n, matched_exception=render_notation(seq))
     if shape is not None and shape.matches:
         if not _shape_case_potential(d, shape.k, shape.t, shape.ones):
             return Verdict(K6C4, "no", "COND2_RESIDUAL", n=n)
@@ -256,7 +257,7 @@ def decide_k5c4(seq: DegreeSequence) -> Verdict:
                 exception_index=idx,
                 matched_exception=render_notation(seq),
             )
-    if d == (n - 2, n - 2) + (2,) * (n - 2):
+    if d[0] == d[1] == n - 2 and d == (n - 2, n - 2) + (2,) * (n - 2):
         return Verdict(K5C4, "no", "COND2_FAMILY_SQUARE", n=n, matched_exception=render_notation(seq))
     # a family member fixes k by d1 and then i by d2
     k = n - d[0]

@@ -42,16 +42,32 @@ class Graph:
     def __post_init__(self) -> None:
         if len(self.adj) != self.n:
             raise ValueError("adjacency length != n")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for u, mask in enumerate(self.adj):
+        for u, mask in enumerate(adj):
             if mask >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
             if mask & ~full:
                 raise ValueError(f"neighbor bit out of range at vertex {u}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if (self.adj[u] >> v & 1) != (self.adj[v] >> u & 1):
-                    raise ValueError(f"asymmetric adjacency at ({u},{v})")
+        # symmetric iff every bit above the diagonal is mirrored below it and
+        # there are as many bits above as below
+        mirrored = True
+        above = below = 0
+        for u, mask in enumerate(adj):
+            rest = mask >> u + 1
+            above += rest.bit_count()
+            below += (mask & (1 << u) - 1).bit_count()
+            v = u + 1
+            while rest and mirrored:
+                skip = (rest & -rest).bit_length()
+                v += skip
+                rest >>= skip
+                mirrored = adj[v - 1] >> u & 1
+        if not mirrored or above != below:
+            for u in range(self.n):
+                for v in range(u + 1, self.n):
+                    if (adj[u] >> v & 1) != (adj[v] >> u & 1):
+                        raise ValueError(f"asymmetric adjacency at ({u},{v})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

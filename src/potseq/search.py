@@ -205,7 +205,7 @@ def _try_neighbors(
         residual[v] -= 1
     # exact when unsaturated vertices are pairwise non-adjacent (empty
     # base); otherwise it ignores blocked pairs and is merely necessary
-    if _eg_ok(sorted([x for x in residual if x], reverse=True)):
+    if _eg_ok(sorted(residual, reverse=True)):
         for v in combo:
             adj[u] |= 1 << v
             adj[v] |= 1 << u

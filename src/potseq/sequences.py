@@ -9,8 +9,10 @@ term is positive.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
+from operator import neg
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -141,7 +143,7 @@ def render_notation(seq: DegreeSequence) -> str:
     """Canonical exponent notation; inverse of :func:`parse_notation`."""
     parts = []
     for value, run in groupby(seq.terms):
-        count = sum(1 for _ in run)
+        count = len(list(run))
         parts.append(f"{value}^{count}" if count > 1 else str(value))
     return ",".join(parts)
 
@@ -179,55 +181,92 @@ def layoff(seq: DegreeSequence, k: int | None = None, raw: bool = False):
 
 
 def _eg_ok(terms) -> bool:
-    """Erdos-Gallai test on a non-increasing sequence of nonnegative ints.
+    """Erdos-Gallai test on a non-increasing sequence of nonnegative ints
+    (a list or a tuple; zero terms are allowed).
 
-    Checks even sum and, for every r, sum of the r largest terms <=
-    r(r-1) + sum over the rest of min(term, r).
+    Checks even sum and, for every r, that the slack
+    f(r) = r(r-1) + sum over i > r of min(d_i, r) - sum of the r largest terms
+    is nonnegative.  Only a few r need testing:
+
+    * Durfee index.  Once d_{r+1} <= r, every later term is at most r too, so
+      f(r+1) - f(r) = 2r - 2 d_{r+1} >= 0, and this holds for every later r.
+      The last r to test is therefore the Durfee index m, the largest r with
+      d_r >= r.
+    * Run ends (Tripathi and Vijay, Discrete Math. 2003).  For r < m,
+      f(r+1) - f(r) = N(r+1) - d_{r+1} - 1, where N(x) counts the terms >= x.
+      This does not increase while d_{r+1} stays the same, so f is concave
+      over each run of equal terms and smallest at one of its ends.  If m is
+      inside a run rather than at its end, the step into m is
+      N(m) - m - 1 >= 0, so f does not decrease over that run up to m.
+      The tested r are thus the ends of the runs that end at or before m.
+
+    Run ends and counts of terms >= r come from ``bisect``; the terms below r
+    are added up once each as r grows.
     """
     n = len(terms)
-    total = 0
-    for d in terms:
-        total += d
-    if total % 2:
+    if sum(terms) % 2:
         return False
     if n == 0:
         return True
-    if terms[0] >= n:
+    if terms[0] >= n:  # d1 < n keeps every tested r below n
         return False
-    # suffix[i] = sum of terms[i:]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + terms[i]
-    prefix = 0
-    b = n  # first index with terms[b] < r; non-increasing as r grows
-    for r in range(1, n + 1):
-        prefix += terms[r - 1]
-        while b > 0 and terms[b - 1] < r:
-            b -= 1
-        j = b if b > r else r
-        # indices r..j-1 have value >= r, so min(.., r) = r there
-        tail = r * (j - r) + suffix[j]
-        if prefix > r * (r - 1) + tail:
+    prefix = 0  # sum of terms[:r]
+    low = 0  # sum of terms[below:], the terms smaller than r
+    below = n
+    i = 0
+    while True:
+        value = terms[i]
+        r = bisect_right(terms, -value, i, n, key=neg)  # end of the run
+        if value < r:  # m < r, and f does not decrease from i (tested) to m
+            return True
+        prefix += value * (r - i)
+        # terms[:r] are all >= r, and terms[below:] are below the last r
+        first_low = bisect_right(terms, -r, r, below, key=neg)
+        low += sum(terms[first_low:below])
+        below = first_low
+        if prefix > r * (r - 1) + r * (below - r) + low:
             return False
-    return True
+        i = r
 
 
 def is_graphic_layoff(seq: DegreeSequence) -> bool:
     """Graphicality by repeatedly laying off the smallest term.
 
     The residual sequence is graphic iff the original is, so the recursion
-    bottoms out at the empty sequence exactly for graphic inputs.
+    bottoms out at the empty sequence exactly for graphic inputs.  The
+    sequence is kept as runs of equal terms, largest first, so each layoff
+    edits a few runs instead of re-sorting every term.
     """
-    terms = list(seq.terms)
-    while terms:
-        dk = terms.pop()
-        if dk > len(terms):
+    runs = [[value, len(list(run))] for value, run in groupby(seq.terms)]
+    n = seq.n
+    while runs:
+        smallest = runs[-1]
+        dk = smallest[0]
+        smallest[1] -= 1
+        if not smallest[1]:
+            runs.pop()
+        n -= 1
+        if dk > n:
             return False
-        for i in range(dk):
-            terms[i] -= 1
-        terms.sort(reverse=True)
-        while terms and terms[-1] == 0:
-            terms.pop()
+        # the dk largest terms lose one: whole runs before index i ...
+        i = 0
+        for run in runs:
+            if run[1] > dk:
+                break
+            dk -= run[1]
+            run[0] -= 1
+            i += 1
+        # ... and dk terms of run i, which then sort after the rest of it
+        if dk:
+            run[1] -= dk
+            if i + 1 < len(runs) and runs[i + 1][0] == run[0] - 1:
+                runs[i + 1][1] += dk
+            else:
+                runs.insert(i + 1, [run[0] - 1, dk])
+        if i and i < len(runs) and runs[i - 1][0] == runs[i][0]:
+            runs[i - 1][1] += runs.pop(i)[1]
+        if runs and not runs[-1][0]:
+            n -= runs.pop()[1]
     return True
 
 
@@ -295,8 +334,8 @@ def shape_of(seq: DegreeSequence) -> SequenceShape | None:
         return None
     head = (seq.terms[0], seq.terms[1], seq.terms[2])
     tail = seq.terms[3:]
-    k = sum(1 for d in tail if d == 3)
-    t = sum(1 for d in tail if d == 2)
-    ones = sum(1 for d in tail if d == 1)
+    k = tail.count(3)
+    t = tail.count(2)
+    ones = tail.count(1)
     matches = k + t + ones == len(tail)
     return SequenceShape(head=head, k=k, t=t, ones=ones, matches=matches)

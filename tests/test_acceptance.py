@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines.  The
-decider-oracle sweeps cover n <= 9 for both targets; the n=10 sweeps are a
-long test, opt in with POTSEQ_RUN_LONG=1.
+decider-oracle sweeps and realizer completion cover n <= 10 for both
+targets; the n=11 sweeps are a long test, opt in with POTSEQ_RUN_LONG=1.
 """
 
 import io
@@ -33,6 +33,7 @@ from potseq.graphs import (
 from potseq.search import (
     enumerate_graphic_sequences,
     oracle_decide_k6c4,
+    realize_with_k5c4,
     realize_with_k6c4,
     sigma_search,
 )
@@ -81,30 +82,33 @@ def paper_conditions_1_and_2(seq: DegreeSequence) -> bool:
 
 def test_criterion_1_decider_oracle_equivalence_k6c4():
     ok = True
-    for n in (6, 7, 8, 9):
+    for n in (6, 7, 8, 9, 10):
         code, out = run_cli(["verify", "--n", str(n), "--jobs", str(JOBS), "--json"])
         rep = json.loads(out)
         ok = ok and code == 0 and rep["mismatches"] == [] and rep["total_sequences"] > 0
-    report("C1 decider-oracle equivalence, K6-C4, n=6..9", ok)
+    ok = ok and rep["total_sequences"] == 11655
+    report("C1 decider-oracle equivalence, K6-C4, n=6..10", ok)
 
 
 def test_criterion_2_decider_oracle_equivalence_k5c4():
     code, out = run_cli(
-        ["verify", "--n", "5..9", "--target", "k5-c4", "--jobs", str(JOBS), "--json"]
+        ["verify", "--n", "5..10", "--target", "k5-c4", "--jobs", str(JOBS), "--json"]
     )
     reports = json.loads(out)["reports"]
-    ok = code == 0 and len(reports) == 5 and all(r["mismatches"] == [] for r in reports)
-    report("C2 decider-oracle equivalence, K5-C4, n=5..9", ok)
+    ok = code == 0 and len(reports) == 6 and all(r["mismatches"] == [] for r in reports)
+    ok = ok and reports[-1]["total_sequences"] == 11655
+    report("C2 decider-oracle equivalence, K5-C4, n=5..10", ok)
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=10 sweeps")
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=11 sweeps")
 @pytest.mark.parametrize("target", ["k6-c4", "k5-c4"])
-def test_criterion_1_2_long_n10(target):
-    code, out = run_cli(["verify", "--n", "10", "--target", target, "--jobs", str(JOBS), "--json"])
+def test_criterion_1_2_long_n11(target):
+    argv = ["verify", "--n", "11", "--target", target, "--oracle-bound", "11", "--jobs", str(JOBS), "--json"]
+    code, out = run_cli(argv)
     rep = json.loads(out)
-    ok = code == 0 and rep["total_sequences"] == 11655 and rep["mismatches"] == []
-    report(f"C1/C2-long decider-oracle equivalence, {target}, n=10", ok)
+    ok = code == 0 and rep["total_sequences"] == 43332 and rep["mismatches"] == []
+    report(f"C1/C2-long decider-oracle equivalence, {target}, n=11", ok)
 
 
 def test_criterion_3_sigma_reproduction():
@@ -211,6 +215,26 @@ def test_criterion_7_constructor_completeness_and_soundness():
             assert ok, s.terms
     ok = ok and count == 547
     report(f"C7 constructor completeness/soundness on {count} yes-sequences, n=6..8", ok)
+
+
+@pytest.mark.parametrize(
+    "decide,realize,m,count",
+    [(decide_k6c4, realize_with_k6c4, 6, 10_263), (decide_k5c4, realize_with_k5c4, 5, 11_543)],
+    ids=["k6-c4", "k5-c4"],
+)
+def test_criterion_7_realizer_completes_every_yes_through_n10(decide, realize, m, count):
+    # the placement claim behind the realizer and condition (2'): every
+    # decider-yes sequence has a realization with the target on its top m
+    # vertices
+    done = {}
+    for n in range(m, 11):
+        done[n] = 0
+        for s in enumerate_graphic_sequences(n):
+            if decide(s).is_yes:
+                cert = realize(s)
+                assert cert.checked and cert.hosts == tuple(range(m)), s.terms
+                done[n] += 1
+    report(f"C7 realizer completes all {sum(done.values())} yes-sequences, n<=10, K{m}-C4", done[10] == count)
 
 
 def test_criterion_8_graph6_round_trip():

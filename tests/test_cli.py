@@ -157,6 +157,15 @@ def test_realize_graph6_too_large_is_a_usage_error():
     assert err.startswith("error:") and "n <= 62" in err
 
 
+def test_realize_too_deep_for_the_recursive_search_is_a_usage_error():
+    # decider-yes, but the completion search recurses past Python's limit
+    code, out, err = run(["realize", "5^8,3^1000"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "n = 1008" in err and "Traceback" not in err
+
+
 def test_realize_dot():
     code, out, _ = run(["realize", "4^5", "--target", "k5-c4", "--format", "dot"])
     assert code == 0

@@ -46,6 +46,32 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
 
 
+def first_asymmetric_pair(n, adj):
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (adj[u] >> v & 1) != (adj[v] >> u & 1):
+                return u, v
+    return None
+
+
+def test_graph_validation_names_first_asymmetric_pair():
+    # random symmetric graphs with a few bits flipped, against a plain scan
+    # of the pairs in order
+    rng = random.Random(17)
+    for _ in range(5_000):
+        n = rng.randint(1, 9)
+        adj = list(random_graph(rng, n, rng.random()).adj)
+        for _ in range(rng.randint(0, 3) if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            adj[u] ^= 1 << v
+        pair = first_asymmetric_pair(n, adj)
+        if pair is None:
+            assert Graph(n, tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError, match=rf"^asymmetric adjacency at \({pair[0]},{pair[1]}\)$"):
+                Graph(n, tuple(adj))
+
+
 def test_graph_accessors():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)

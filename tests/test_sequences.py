@@ -9,6 +9,7 @@ from potseq.sequences import (
     MAX_TERMS,
     DegreeSequence,
     NotationError,
+    _eg_ok,
     graphic_4321,
     is_graphic,
     is_graphic_layoff,
@@ -159,6 +160,68 @@ def test_is_graphic(text, graphic):
 def test_empty_sequence_is_graphic():
     assert is_graphic(DegreeSequence(()))
     assert is_graphic_layoff(DegreeSequence(()))
+
+
+def eg_every_r(terms):
+    """Erdos-Gallai as stated: even sum and every one of the n inequalities."""
+    if sum(terms) % 2:
+        return False
+    return all(
+        sum(terms[:r]) <= r * (r - 1) + sum(min(d, r) for d in terms[r:])
+        for r in range(1, len(terms) + 1)
+    )
+
+
+def test_eg_kernel_matches_every_r_reference():
+    # every non-increasing sequence with n <= 9 and terms 0..n+1, so zero
+    # terms and d1 >= n are covered, given both as a tuple and as a list
+    count = 0
+    for n in range(10):
+        for terms in combinations_with_replacement(range(n + 1, -1, -1), n):
+            want = eg_every_r(terms)
+            assert _eg_ok(terms) is want and _eg_ok(list(terms)) is want, terms
+            count += 1
+    assert count == 125_476
+
+
+def gnp_half_degrees(n, seed):
+    """Degrees of G(n, 1/2), non-increasing.  Row u of the upper triangle
+    holds one random bit in each 16-bit slot v > u, so the sum of the rows
+    holds every vertex's count of neighbors below it."""
+    rng = random.Random(seed)
+    ones = int.from_bytes(b"\x01\x00" * n, "little")
+    above, columns = [], 0
+    for u in range(n):
+        row = rng.getrandbits(16 * n) & ones >> 16 * (u + 1) << 16 * (u + 1)
+        above.append(row.bit_count())
+        columns += row
+    return sorted((d + (columns >> 16 * v & 0xFFFF) for v, d in enumerate(above)), reverse=True)
+
+
+def test_eg_kernel_spot_checks_against_layoff():
+    dense = gnp_half_degrees(3000, 1)
+    cases = [
+        ((2,) * 1_000_000, True),
+        ((2,) * 999_999 + (1,), False),
+        (tuple(dense), True),
+        (tuple(dense[:-1]) + (dense[-1] - 1,), False),
+        ((1000,) * 1001, True),
+        ((1000,) * 1000 + (999,), False),
+    ]
+    for terms, graphic in cases:
+        assert _eg_ok(terms) is graphic, terms[:3]
+        assert is_graphic_layoff(DegreeSequence(terms)) is graphic, terms[:3]
+
+
+def test_layoff_test_on_long_and_dense_sequences():
+    cases = [
+        ("2^200000", True),
+        ("3,2^199999", False),
+        ("900^500,600^400,300^200,2^101", True),
+        ("1300^700,1^700", False),
+    ]
+    for text, graphic in cases:
+        assert is_graphic_layoff(seq(text)) is is_graphic(seq(text)) is graphic, text
 
 
 def all_sequences(max_n, max_term):
