@@ -96,14 +96,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         print(f"sequence: {render_notation(seq)}")
         print(explain(exc.verdict))
         return EXIT_NO
-    except RecursionError:
-        # the completion search recurses twice per saturated vertex
-        print(
-            f"error: n = {seq.n} is too long for the realizer's recursive search "
-            f"(Python recursion limit {sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     comments = [
         f"sequence: {render_notation(seq)}",
         f"target: {args.target}",

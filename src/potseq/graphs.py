@@ -166,57 +166,72 @@ class PatternWitness:
         return tuple(sorted(flat))
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
-
-
 def _matching_pair_in(adj: Sequence[int], common: int) -> tuple[tuple[int, int], tuple[int, int]] | None:
-    """Two disjoint edges inside the vertex set ``common`` (a bitmask)."""
-    members = _bits(common)
-    for i, a in enumerate(members):
-        nb_a = adj[a] & common
-        for b in members[i + 1 :]:
-            if not (nb_a >> b & 1):
-                continue
-            rest = common & ~(1 << a) & ~(1 << b)
-            for c in _bits(rest):
-                other = adj[c] & rest & ~((1 << (c + 1)) - 1)
+    """Two disjoint edges inside the vertex set ``common`` (a bitmask): the
+    first edge (a, b) in lexicographic order that leaves one, and with it
+    the lowest vertex c of the rest that has a neighbor in the rest, paired
+    with its highest such neighbor d."""
+    above_a = common
+    while above_a:
+        low_a = above_a & -above_a
+        above_a ^= low_a
+        a = low_a.bit_length() - 1
+        bs = adj[a] & above_a
+        while bs:
+            low_b = bs & -bs
+            bs ^= low_b
+            # c's neighbors in the rest all lie above it, or a lower vertex
+            # would have had one
+            cs = common ^ low_a ^ low_b
+            while cs:
+                low_c = cs & -cs
+                cs ^= low_c
+                c = low_c.bit_length() - 1
+                other = adj[c] & cs
                 if other:
-                    d = other.bit_length() - 1
-                    return ((a, b), (c, d))
+                    return ((a, low_b.bit_length() - 1), (c, other.bit_length() - 1))
     return None
 
 
-def _find_km_minus_c4_adj(adj: Sequence[int], n: int, hub_count: int) -> PatternWitness | None:
-    if hub_count == 2:
-        for u1 in range(n):
-            nb = adj[u1] >> (u1 + 1)
-            u2 = u1 + 1
-            while nb:
-                if nb & 1:
-                    common = adj[u1] & adj[u2]
-                    if common.bit_count() >= 4:
-                        pairs = _matching_pair_in(adj, common)
-                        if pairs is not None:
-                            return PatternWitness((u1, u2), pairs)
-                nb >>= 1
-                u2 += 1
-        return None
-    if hub_count == 1:
-        for u in range(n):
-            if adj[u].bit_count() >= 4:
-                pairs = _matching_pair_in(adj, adj[u])
+def _find_km_minus_c4_adj(
+    adj: Sequence[int], n: int, hub_count: int, hubs: int | None = None
+) -> PatternWitness | None:
+    """First K_m - C4 (m = hub_count + 4) whose hubs all lie in the bitmask
+    ``hubs`` (default: every vertex), hubs in ascending order.
+
+    Every copy through a vertex u has its hubs in N[u]: u is a hub and the
+    others are its neighbors, or u is a quad vertex adjacent to every hub.
+    So ``hubs = adj[u] | 1 << u`` finds a copy whenever one contains u.  A
+    hub has degree at least m - 1, so lower-degree vertices are skipped
+    without changing which witness comes first.
+    """
+    if hub_count not in (1, 2):
+        raise ValueError(f"unsupported hub count {hub_count}")
+    need = hub_count + 3
+    rest = (1 << n) - 1 if hubs is None else hubs
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u1 = low.bit_length() - 1
+        nb = adj[u1]
+        if nb.bit_count() < need:
+            continue
+        if hub_count == 1:
+            pairs = _matching_pair_in(adj, nb)
+            if pairs is not None:
+                return PatternWitness((u1,), pairs)
+            continue
+        # second hub: a neighbor above u1 among the allowed hubs
+        seconds = nb & rest
+        while seconds:
+            low2 = seconds & -seconds
+            seconds ^= low2
+            common = nb & adj[low2.bit_length() - 1]
+            if common.bit_count() >= 4:
+                pairs = _matching_pair_in(adj, common)
                 if pairs is not None:
-                    return PatternWitness((u,), pairs)
-        return None
-    raise ValueError(f"unsupported hub count {hub_count}")
+                    return PatternWitness((u1, low2.bit_length() - 1), pairs)
+    return None
 
 
 def find_km_minus_c4(g: Graph, m: int) -> PatternWitness | None:
@@ -227,10 +242,11 @@ def find_km_minus_c4(g: Graph, m: int) -> PatternWitness | None:
 
 
 @lru_cache(maxsize=16)  # bounded: contains_pattern takes any pattern
-def _embedding_steps(pattern: TargetPattern) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The order in which ``_contains_pattern_adj`` maps pattern vertices:
-    per step, the vertex's pattern degree and the earlier steps whose
-    vertices it must be adjacent to."""
+def _embedding_steps(pattern: TargetPattern, anchor: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The order in which ``_contains_pattern_adj`` maps pattern vertices,
+    starting with ``anchor`` when it is not -1: per step, the vertex's
+    pattern degree and the earlier steps whose vertices it must be adjacent
+    to."""
     p = pattern.vertex_count
     pdeg = [0] * p
     padj = [0] * p
@@ -241,9 +257,9 @@ def _embedding_steps(pattern: TargetPattern) -> tuple[tuple[int, tuple[int, ...]
         padj[v] |= 1 << u
     # assign high-degree pattern vertices first, preferring ones adjacent to
     # already-assigned vertices so edge constraints bite early
-    order: list[int] = []
-    placed = 0
-    for _ in range(p):
+    order = [] if anchor < 0 else [anchor]
+    placed = 0 if anchor < 0 else 1 << anchor
+    for _ in range(p - len(order)):
         best = -1
         best_key = (-1, -1)
         for x in range(p):
@@ -261,17 +277,46 @@ def _embedding_steps(pattern: TargetPattern) -> tuple[tuple[int, tuple[int, ...]
     )
 
 
-def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern) -> bool:
+@lru_cache(maxsize=16)
+def _orbit_anchors(pattern: TargetPattern) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """Embedding orders anchored at one representative of each orbit of the
+    pattern's automorphism group.  x and y share an orbit iff some
+    embedding of the pattern into itself maps x to y, which ``_embed``
+    decides with the order anchored at x and y as its first host."""
+    p = pattern.vertex_count
+    padj = pattern.as_graph().adj
+    plans = []
+    unplaced = full = (1 << p) - 1
+    while unplaced:
+        x = (unplaced & -unplaced).bit_length() - 1
+        steps = _embedding_steps(pattern, x)
+        plans.append(steps)
+        for y in range(x, p):
+            if unplaced >> y & 1 and _embed(padj, steps, [y] + [-1] * (p - 1), 1, full ^ 1 << y):
+                unplaced ^= 1 << y
+    return tuple(plans)
+
+
+def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern, through: int = -1) -> bool:
+    """Whether the graph contains ``pattern``; with ``through`` >= 0, only
+    copies that contain that vertex are looked for, by mapping each orbit
+    representative of the pattern to it in turn."""
     if pattern.vertex_count > n:
         return False
-    host_deg = [adj[v].bit_count() for v in range(n)]
-    steps = _embedding_steps(pattern)
-    return _embed(adj, host_deg, steps, [-1] * len(steps), 0, (1 << n) - 1)
+    full = (1 << n) - 1
+    if through < 0:
+        steps = _embedding_steps(pattern)
+        return _embed(adj, steps, [-1] * len(steps), 0, full)
+    for steps in _orbit_anchors(pattern):
+        if adj[through].bit_count() >= steps[0][0]:
+            assign = [through] + [-1] * (len(steps) - 1)
+            if _embed(adj, steps, assign, 1, full ^ 1 << through):
+                return True
+    return False
 
 
 def _embed(
     adj: Sequence[int],
-    host_deg: list[int],
     steps: tuple[tuple[int, tuple[int, ...]], ...],
     assign: list[int],
     idx: int,
@@ -289,9 +334,9 @@ def _embed(
         low = cands & -cands
         cands ^= low
         v = low.bit_length() - 1
-        if host_deg[v] >= need:
+        if adj[v].bit_count() >= need:
             assign[idx] = v
-            if _embed(adj, host_deg, steps, assign, idx + 1, free ^ low):
+            if _embed(adj, steps, assign, idx + 1, free ^ low):
                 return True
     return False
 

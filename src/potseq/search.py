@@ -19,6 +19,15 @@ For the oracle the graph starts empty.  Unsaturated vertices are then never
 adjacent to each other, so the residual check is exact, no branch is a dead
 end, and the search stops at the first partial graph that contains the
 pattern.
+
+The oracle's test is ``accept(adj, u)``: called once on the base with
+``u = -1`` (a full test), then after every step, with ``u`` the vertex that
+step saturated.  The parent graph had no copy of the pattern and the new
+edges all touch ``u``, so only copies through ``u`` need to be looked for:
+the K6-C4 oracle takes its hubs from N[u], and the generic one maps each
+automorphism orbit of the pattern to ``u`` in turn.  The engine keeps its
+frames on an explicit stack, so Python's recursion limit does not bound
+the length of a sequence.
 """
 
 from __future__ import annotations
@@ -137,7 +146,7 @@ def realize_graphic(seq: DegreeSequence) -> Graph:
 # exhaustive completion search
 
 
-_Accept = Callable[[list[int]], bool]
+_Accept = Callable[[list[int], int], bool]
 
 
 def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None) -> list[int] | None:
@@ -150,34 +159,90 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
     satisfies it.  ``accept`` must be monotone under edge addition and
     invariant under isomorphism, and ``base`` must be empty: only then does
     the Erdos-Gallai check prove that a partial graph can be completed.
+
+    ``accept(adj, u)`` is called once on the base with ``u = -1``, a full
+    test, and then after each step that saturates ``u`` by adding the
+    edges from ``u`` to a neighbor set, before the search goes deeper.
+    Each step's parent graph failed the test, and the test is monotone, so
+    any copy of the pattern in the new graph uses a new edge, and every new
+    edge touches ``u``: a test that only looks at copies through ``u`` is
+    exact.
+
+    Each saturated vertex has a frame on an explicit stack: ``[u, r,
+    cands, combinations iterator, twin map, set applied]``.  The first set
+    never takes a twin without its earlier twins, so it is tried as the
+    node opens, and the twin map (None until then) is only built once it
+    has failed.
     """
     if sum(demand) % 2:
         return None
     adj = list(base)
-    return adj if _extend(adj, list(demand), accept) else None
+    if accept is not None and accept(adj, -1):
+        return adj
+    residual = list(demand)
+    stack: list[list] = []
+    while True:
+        # open a node on the current graph and take its first neighbor set
+        combo = None
+        r = max(residual, default=0)
+        if r == 0:
+            if accept is None:
+                return adj
+        else:
+            u = residual.index(r)
+            blocked = adj[u] | 1 << u
+            cands = [v for v, x in enumerate(residual) if x and not blocked >> v & 1]
+            if r <= len(cands):
+                residual[u] = 0
+                combos = combinations(cands, r)
+                frame = [u, r, cands, combos, None, ()]
+                stack.append(frame)
+                combo = next(combos)
+        while True:
+            if combo is None:
+                # backtrack: the next set of the deepest open node
+                if not stack:
+                    return None
+                frame = stack[-1]
+                u, r, cands, combos, twin_before, applied = frame
+                # u had no edge to any candidate, so XOR clears just the step's
+                bit = 1 << u
+                for v in applied:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= bit
+                    residual[v] += 1
+                if twin_before is None:
+                    twin_before = frame[4] = _twin_before(adj, residual, cands)
+                combo = _next_set(combos, twin_before)
+                if combo is None:
+                    residual[u] = r
+                    stack.pop()
+                    continue
+            for v in combo:
+                residual[v] -= 1
+            # exact when unsaturated vertices are pairwise non-adjacent (empty
+            # base); otherwise it ignores blocked pairs and is merely necessary
+            if not _eg_ok(sorted(residual, reverse=True)):
+                for v in combo:
+                    residual[v] += 1
+                frame[5] = ()
+                combo = None
+                continue
+            frame[5] = combo
+            bit = 1 << u
+            nb = adj[u]
+            for v in combo:
+                nb |= 1 << v
+                adj[v] |= bit
+            adj[u] = nb
+            if accept is not None and accept(adj, u):
+                return adj
+            break
 
 
-def _extend(adj: list[int], residual: list[int], accept: _Accept | None) -> bool:
-    """One search node: saturate the first vertex of largest residual,
-    trying neighbor sets in ``combinations`` order but skipping any that
-    takes a twin without its earlier twins.  The first set never does, so
-    twin classes are only worked out once it fails.  On success ``adj`` and
-    ``residual`` hold the graph found; otherwise they are restored.
-    """
-    if accept is not None and accept(adj):
-        return True
-    r = max(residual, default=0)
-    if r == 0:
-        return accept is None
-    u = residual.index(r)
-    blocked = adj[u] | 1 << u
-    cands = [v for v, x in enumerate(residual) if x and not blocked >> v & 1]
-    if r > len(cands):
-        return False
-    residual[u] = 0
-    combos = combinations(cands, r)
-    if _try_neighbors(adj, residual, u, next(combos), accept):
-        return True
+def _twin_before(adj: list[int], residual: list[int], cands: list[int]) -> list[int]:
+    """Per candidate, the bit of its previous twin (equal residual and
+    adjacency mask) among ``cands``, or 0."""
     last: dict[tuple[int, int], int] = {}
     twin_before = [0] * len(adj)
     for v in cands:
@@ -185,6 +250,12 @@ def _extend(adj: list[int], residual: list[int], accept: _Accept | None) -> bool
         if key in last:
             twin_before[v] = 1 << last[key]
         last[key] = v
+    return twin_before
+
+
+def _next_set(combos: Iterator[tuple[int, ...]], twin_before: list[int]) -> tuple[int, ...] | None:
+    """The next set from ``combos`` that takes no twin without its earlier
+    twins, or None."""
     for combo in combos:
         taken = 0
         for v in combo:
@@ -192,31 +263,8 @@ def _extend(adj: list[int], residual: list[int], accept: _Accept | None) -> bool
                 break
             taken |= 1 << v
         else:
-            if _try_neighbors(adj, residual, u, combo, accept):
-                return True
-    residual[u] = r
-    return False
-
-
-def _try_neighbors(
-    adj: list[int], residual: list[int], u: int, combo: tuple[int, ...], accept: _Accept | None
-) -> bool:
-    for v in combo:
-        residual[v] -= 1
-    # exact when unsaturated vertices are pairwise non-adjacent (empty
-    # base); otherwise it ignores blocked pairs and is merely necessary
-    if _eg_ok(sorted(residual, reverse=True)):
-        for v in combo:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        if _extend(adj, residual, accept):
-            return True
-        for v in combo:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-    for v in combo:
-        residual[v] += 1
-    return False
+            return combo
+    return None
 
 
 def _check_oracle_pre(seq: DegreeSequence, bound: int | None) -> int:
@@ -237,8 +285,13 @@ def _dominates(terms: Sequence[int], pattern_degrees: Sequence[int]) -> bool:
     return all(terms[i] >= pattern_degrees[i] for i in range(len(pattern_degrees)))
 
 
-def _has_k6c4(adj: list[int]) -> bool:
-    return _find_km_minus_c4_adj(adj, len(adj), 2) is not None
+def _has_k6c4(adj: list[int], u: int) -> bool:
+    if u < 0:
+        return _find_km_minus_c4_adj(adj, len(adj), 2) is not None
+    # every vertex of K6 - C4 has degree >= 3; the hubs of a copy through u
+    # lie in N[u]
+    nb = adj[u]
+    return nb.bit_count() >= 3 and _find_km_minus_c4_adj(adj, len(adj), 2, nb | 1 << u) is not None
 
 
 def _oracle_k6c4_partial(seq: DegreeSequence, bound: int | None) -> list[int] | None:
@@ -281,7 +334,7 @@ def oracle_decide_pattern(
     injective containment test; no sequence-level shortcuts.
     """
     _check_oracle_pre(seq, bound)
-    found = _complete(seq.terms, [0] * seq.n, lambda adj: _contains_pattern_adj(adj, len(adj), pattern))
+    found = _complete(seq.terms, [0] * seq.n, lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern, u))
     return found is not None
 
 

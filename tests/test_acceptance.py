@@ -2,7 +2,9 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the lines.  The
 decider-oracle sweeps and realizer completion cover n <= 10 for both
-targets; the n=11 sweeps are a long test, opt in with POTSEQ_RUN_LONG=1.
+targets, and agreement is also checked on 250 random graphs' degree
+sequences with n = 11..13; the n=11 sweeps are a long test, opt in with
+POTSEQ_RUN_LONG=1.
 """
 
 import io
@@ -31,6 +33,7 @@ from potseq.graphs import (
     find_km_minus_c4,
 )
 from potseq.search import (
+    TARGETS,
     enumerate_graphic_sequences,
     oracle_decide_k6c4,
     realize_with_k5c4,
@@ -109,6 +112,31 @@ def test_criterion_1_2_long_n11(target):
     rep = json.loads(out)
     ok = code == 0 and rep["total_sequences"] == 43332 and rep["mismatches"] == []
     report(f"C1/C2-long decider-oracle equivalence, {target}, n=11", ok)
+
+
+def gnp_sequences(seed, count, n_range, p_range):
+    # degree sequences of seeded G(n,p) draws whose n positive terms lie in n_range
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice(n_range)
+        p = rng.uniform(*p_range)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        seq = degree_sequence_of(Graph.from_edges(n, edges))
+        if seq.n in n_range:
+            out.append(seq)
+    return out
+
+
+@pytest.mark.parametrize("target", ["k6-c4", "k5-c4"])
+def test_criterion_1_2_gnp_sequences_n11_to_13(target):
+    # agreement past the exhaustive sweeps, on random graphs' sequences
+    entry = TARGETS[target]
+    seqs = gnp_sequences(13, 250, range(11, 14), (0.15, 0.6))
+    bad = [
+        render_notation(s) for s in seqs if entry.decide(s).is_yes != entry.oracle(s, bound=13)
+    ]
+    report(f"C1/C2 decider-oracle equivalence, {target}, 250 G(n,p) sequences, n=11..13", bad == [])
 
 
 def test_criterion_3_sigma_reproduction():

@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import potseq.cli as cli
-from potseq.graphs import decode_graph6
+from potseq.graphs import decode_graph6, degree_sequence_of, find_km_minus_c4, from_edgelist
 from potseq.search import Mismatch, VerificationReport
 from potseq.sequences import MAX_TERMS
 
@@ -157,13 +157,15 @@ def test_realize_graph6_too_large_is_a_usage_error():
     assert err.startswith("error:") and "n <= 62" in err
 
 
-def test_realize_too_deep_for_the_recursive_search_is_a_usage_error():
-    # decider-yes, but the completion search recurses past Python's limit
-    code, out, err = run(["realize", "5^8,3^1000"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "n = 1008" in err and "Traceback" not in err
+def test_realize_long_sequence_completes():
+    # the completion search keeps its own stack, so a certificate's length is
+    # not bounded by Python's recursion limit
+    code, out, err = run(["realize", "5^8,3^1000", "--format", "edgelist"])
+    assert code == 0 and err == ""
+    g = from_edgelist(out)
+    assert g.n == 1008
+    assert degree_sequence_of(g).terms == (5,) * 8 + (3,) * 1000
+    assert find_km_minus_c4(g, 6) is not None
 
 
 def test_realize_dot():

@@ -17,6 +17,10 @@ from potseq.graphs import (
     from_edgelist,
     to_dot,
     to_edgelist,
+    _contains_pattern_adj,
+    _find_km_minus_c4_adj,
+    _matching_pair_in,
+    _orbit_anchors,
 )
 
 
@@ -178,6 +182,105 @@ def test_contains_equivalence_random_n8():
     for _ in range(10_000):
         g = random_graph(rng, 8, p=rng.choice([0.3, 0.5, 0.7]))
         assert contains_k6c4(g) == contains_pattern(g, K6_MINUS_C4), g.adj
+
+
+def all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        yield adj
+
+
+def matching_pair_reference(adj, common):
+    # the list-based search the bitmask version replaced
+    members = [v for v in range(max(common.bit_length(), 1)) if common >> v & 1]
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if not adj[a] >> b & 1:
+                continue
+            rest = [v for v in members if v not in (a, b)]
+            for j, c in enumerate(rest):
+                others = [d for d in rest[j + 1 :] if adj[c] >> d & 1]
+                if others:
+                    return ((a, b), (c, others[-1]))
+    return None
+
+
+# (full test, test of the copies through u) for each containment routine
+ANCHORED_TESTS = {
+    "K6-C4 finder": (
+        lambda adj: _find_km_minus_c4_adj(adj, len(adj), 2) is not None,
+        lambda adj, u: _find_km_minus_c4_adj(adj, len(adj), 2, adj[u] | 1 << u) is not None,
+    ),
+    "one-hub finder": (
+        lambda adj: _find_km_minus_c4_adj(adj, len(adj), 1) is not None,
+        lambda adj, u: _find_km_minus_c4_adj(adj, len(adj), 1, adj[u] | 1 << u) is not None,
+    ),
+    "generic K6-C4": (
+        lambda adj: _contains_pattern_adj(adj, len(adj), K6_MINUS_C4),
+        lambda adj, u: _contains_pattern_adj(adj, len(adj), K6_MINUS_C4, u),
+    ),
+    "generic K5-C4": (
+        lambda adj: _contains_pattern_adj(adj, len(adj), K5_MINUS_C4),
+        lambda adj, u: _contains_pattern_adj(adj, len(adj), K5_MINUS_C4, u),
+    ),
+}
+
+
+def check_anchored_contract(adj):
+    # the oracle asks about the copies through u only after the graph
+    # without u's edges had none; then the answer must be the full one
+    n = len(adj)
+    for name, (full, through) in ANCHORED_TESTS.items():
+        whole = full(adj)
+        for u in range(n):
+            if not whole:
+                assert not through(adj, u), (name, adj, u)
+                continue
+            cut = [a & ~(1 << u) for a in adj]
+            cut[u] = 0
+            if not full(cut):
+                assert through(adj, u), (name, adj, u)
+
+
+def test_anchored_containment_exhaustive_n6():
+    for n in range(1, 7):
+        for adj in all_graphs(n):
+            check_anchored_contract(adj)
+
+
+def test_anchored_containment_random_n7_n8():
+    rng = random.Random(23)
+    for _ in range(3_000):
+        g = random_graph(rng, rng.choice([7, 8]), p=rng.choice([0.4, 0.6, 0.8]))
+        check_anchored_contract(list(g.adj))
+
+
+def test_matching_pair_matches_list_reference():
+    # every vertex set of every graph on 5 vertices, the whole of every graph
+    # on 6, and random sets with gaps in larger graphs
+    for adj in all_graphs(5):
+        for common in range(32):
+            assert _matching_pair_in(adj, common) == matching_pair_reference(adj, common), (adj, common)
+    for adj in all_graphs(6):
+        assert _matching_pair_in(adj, 63) == matching_pair_reference(adj, 63), adj
+    rng = random.Random(29)
+    for _ in range(10_000):
+        g = random_graph(rng, rng.randint(7, 12), p=rng.random())
+        common = rng.getrandbits(g.n)
+        assert _matching_pair_in(g.adj, common) == matching_pair_reference(g.adj, common)
+
+
+def test_orbit_anchors():
+    # hubs and quad vertices are the two orbits of either pattern
+    for pattern in (K6_MINUS_C4, K5_MINUS_C4):
+        anchors = _orbit_anchors(pattern)
+        assert [steps[0][0] for steps in anchors] == [pattern.vertex_count - 1, pattern.vertex_count - 3]
+        assert all(len(steps) == pattern.vertex_count for steps in anchors)
 
 
 # --- degree sequence --------------------------------------------------------

@@ -102,6 +102,17 @@ def test_certificates_are_byte_stable():
     assert digest.hexdigest() == "9b213e6d2316eebaa73e2a15ac67d668ecca1e4331cdc8dbe8ab512c81d95fa0"
 
 
+def test_oracle_realizations_are_byte_stable():
+    # graph6 of oracle_realization_k6c4 for every graphic sequence with n <= 9
+    # ("-" for None), pinned so that the oracle's search order cannot drift
+    digest = hashlib.sha256()
+    for n in range(1, 10):
+        for s in enumerate_graphic_sequences(n):
+            g = oracle_realization_k6c4(s)
+            digest.update(b"-\n" if g is None else encode_graph6(g).encode() + b"\n")
+    assert digest.hexdigest() == "274d4844c175246486ad47297536b751e812d930466f07e04b0f04f6210d65d0"
+
+
 def test_realize_with_k5c4():
     cert = realize_with_k5c4(seq("4^5"))
     assert cert.hosts == (0, 1, 2, 3, 4)
