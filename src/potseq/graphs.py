@@ -8,7 +8,7 @@ subgraph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .sequences import DegreeSequence
@@ -127,7 +127,7 @@ class TargetPattern:
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
 
-    @property
+    @cached_property  # computed once: the oracle reads it on every call
     def degree_multiset(self) -> tuple[int, ...]:
         deg = [0] * self.vertex_count
         for u, v in self.edges:

@@ -15,10 +15,16 @@ isomorphic to one in the pruned tree, and the oracle's containment test does
 not change under isomorphism.  The first success in the pruned tree is the
 first in the full tree, so certificates are the same as without pruning.
 
-For the oracle the graph starts empty.  Unsaturated vertices are then never
-adjacent to each other, so the residual check is exact, no branch is a dead
-end, and the search stops at the first partial graph that contains the
-pattern.
+The oracle, ``oracle_decide``, answers *no* when the sorted terms do not
+dominate the pattern's sorted degrees; decider/oracle agreement on the
+deciders' condition (1) therefore holds by construction, and the brute-force
+test over all graphs with n <= 6 is its independent check.  It then tries
+the realizer's placement of the pattern on the top vertices as a witness,
+checked by degrees and the full containment test, and otherwise searches.
+Every *no* past dominance comes from that search, whose graph starts empty:
+unsaturated vertices are then never adjacent to each other, so the residual
+check is exact, no branch is a dead end, and the search stops at the first
+partial graph that contains the pattern.
 
 The oracle's test is ``accept(adj, u)``: called once on the base with
 ``u = -1`` (a full test), then after every step, with ``u`` the vertex that
@@ -36,8 +42,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
@@ -66,6 +71,7 @@ __all__ = [
     "realize_graphic",
     "realize_with_k6c4",
     "realize_with_k5c4",
+    "oracle_decide",
     "oracle_decide_k6c4",
     "oracle_realization_k6c4",
     "oracle_decide_pattern",
@@ -267,7 +273,10 @@ def _next_set(combos: Iterator[tuple[int, ...]], twin_before: list[int]) -> tupl
     return None
 
 
-def _check_oracle_pre(seq: DegreeSequence, bound: int | None) -> int:
+def _oracle_pre(seq: DegreeSequence, target: Target, bound: int | None) -> bool:
+    """Refuse sequences above the bound or not graphic; then whether the
+    sorted terms dominate the pattern's sorted degrees, which any graph
+    containing the pattern must do."""
     limit = resolve_oracle_bound(bound)
     if seq.n > limit:
         raise OracleBoundError(
@@ -276,13 +285,8 @@ def _check_oracle_pre(seq: DegreeSequence, bound: int | None) -> int:
         )
     if not is_graphic(seq):
         raise ValueError(f"oracle requires a graphic sequence, got {render_notation(seq)}")
-    return limit
-
-
-def _dominates(terms: Sequence[int], pattern_degrees: Sequence[int]) -> bool:
-    if len(terms) < len(pattern_degrees):
-        return False
-    return all(terms[i] >= pattern_degrees[i] for i in range(len(pattern_degrees)))
+    degrees = target.pattern.degree_multiset
+    return seq.n >= len(degrees) and all(x >= y for x, y in zip(seq.terms, degrees))
 
 
 def _has_k6c4(adj: list[int], u: int) -> bool:
@@ -294,22 +298,43 @@ def _has_k6c4(adj: list[int], u: int) -> bool:
     return nb.bit_count() >= 3 and _find_km_minus_c4_adj(adj, len(adj), 2, nb | 1 << u) is not None
 
 
-def _oracle_k6c4_partial(seq: DegreeSequence, bound: int | None) -> list[int] | None:
-    """First partial realization containing K6 - C4, or None if none exists.
+def _has_k5c4(adj: list[int], u: int) -> bool:
+    return _contains_pattern_adj(adj, len(adj), K5_MINUS_C4, u)
 
-    Short-circuits when the sorted sequence does not dominate the pattern
-    degrees (5,5,3,3,3,3): any graph containing the pattern has at least
-    two vertices of degree >= 5 and six of degree >= 3.
-    """
-    _check_oracle_pre(seq, bound)
-    if not _dominates(seq.terms, K6_MINUS_C4.degree_multiset):
-        return None
-    return _complete(seq.terms, [0] * seq.n, _has_k6c4)
+
+def oracle_decide(seq: DegreeSequence, target: Target, bound: int | None = None) -> bool:
+    """Ground truth for "potentially ``target.pattern``-graphic": *no* if
+    the terms do not dominate the pattern's degrees; *yes* if the completed
+    top-vertex placement has exactly the sequence's degrees and the full
+    containment test finds the pattern in it; else the exhaustive search's
+    answer.  So the answer never depends on the placement claim."""
+    if not _oracle_pre(seq, target, bound):
+        return False
+    found = _place_km_c4(seq.terms, target.pattern.vertex_count)
+    if found is not None:
+        adj = found[0]
+        if all(a.bit_count() == x for a, x in zip(adj, seq.terms)) and target.accept(adj, -1):
+            return True
+    return _complete(seq.terms, [0] * seq.n, target.accept) is not None
+
+
+def oracle_decide_k6c4(seq: DegreeSequence, bound: int | None = None) -> bool:
+    """``oracle_decide`` for K6 - C4."""
+    return oracle_decide(seq, TARGETS["k6-c4"], bound)
+
+
+def oracle_decide_pattern(seq: DegreeSequence, pattern: TargetPattern, bound: int | None = None) -> bool:
+    """``oracle_decide`` for a registered pattern; ValueError otherwise."""
+    return oracle_decide(seq, TARGETS[_key_of(pattern)], bound)
 
 
 def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Graph | None:
-    """Some realization containing K6 - C4, or None if none exists."""
-    adj = _oracle_k6c4_partial(seq, bound)
+    """Some realization containing K6 - C4, or None if none exists: the
+    first in the exhaustive search's order, never the placement witness."""
+    target = TARGETS["k6-c4"]
+    if not _oracle_pre(seq, target, bound):
+        return None
+    adj = _complete(seq.terms, [0] * seq.n, target.accept)
     if adj is None:
         return None
     residual = [d - a.bit_count() for d, a in zip(seq.terms, adj)]
@@ -318,24 +343,6 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Gr
     if adj is None:
         raise AssertionError("feasible residual had no extension")
     return Graph(seq.n, tuple(adj))
-
-
-def oracle_decide_k6c4(seq: DegreeSequence, bound: int | None = None) -> bool:
-    """Exhaustive ground truth for "potentially K6-C4-graphic"."""
-    return _oracle_k6c4_partial(seq, bound) is not None
-
-
-def oracle_decide_pattern(
-    seq: DegreeSequence, pattern: TargetPattern, bound: int | None = None
-) -> bool:
-    """Exhaustive ground truth for "potentially ``pattern``-graphic".
-
-    Pure search over the realizations, up to isomorphism, with the generic
-    injective containment test; no sequence-level shortcuts.
-    """
-    _check_oracle_pre(seq, bound)
-    found = _complete(seq.terms, [0] * seq.n, lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern, u))
-    return found is not None
 
 
 # ---------------------------------------------------------------------------
@@ -403,19 +410,11 @@ def _role_assignments(d: Sequence[int], m: int) -> Iterator[tuple[tuple[int, ...
             yield hubs, pairs
 
 
-def _realize_with_km_c4(
-    seq: DegreeSequence, m: int, decide: Callable[[DegreeSequence], Verdict] | None
-) -> RealizationCertificate:
-    """Realization with K_m - C4 on the m largest-degree vertices; refuses
-    the sequences ``decide`` rejects unless it is None."""
-    if decide is not None:
-        verdict = decide(seq)
-        if not verdict.is_yes:
-            raise NotPotentialError(verdict)
-    n = seq.n
-    if n < m:
-        raise EmbeddingFailure(f"need at least {m} positive terms, have {n}")
-    d = seq.terms
+def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], tuple[int, ...], tuple] | None:
+    """The first completion, in placement order, of a graph with degrees
+    ``d`` (non-increasing, at least m terms) that has K_m - C4 on vertices
+    0..m-1, as (adjacency, hubs, pairs); None when no placement completes."""
+    n = len(d)
     pattern_degree = {True: m - 1, False: m - 3}
     for hubs, pairs in _role_assignments(d, m):
         hub_set = set(hubs)
@@ -434,22 +433,33 @@ def _realize_with_km_c4(
         if min(demand) < 0:
             continue
         adj = _complete(demand, base, None)
-        if adj is None:
-            continue
-        graph = Graph(n, tuple(adj))
-        hubs_sorted = tuple(sorted(hubs))
-        pairs_sorted = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        cert = RealizationCertificate(
-            graph=graph,
-            hosts=tuple(range(m)),
-            hubs=hubs_sorted,
-            pairs=pairs_sorted,
+        if adj is not None:
+            return adj, hubs, pairs
+    return None
+
+
+def _realize_with_km_c4(
+    seq: DegreeSequence, m: int, decide: Callable[[DegreeSequence], Verdict] | None
+) -> RealizationCertificate:
+    """Realization with K_m - C4 on the m largest-degree vertices; refuses
+    the sequences ``decide`` rejects unless it is None."""
+    if decide is not None:
+        verdict = decide(seq)
+        if not verdict.is_yes:
+            raise NotPotentialError(verdict)
+    n = seq.n
+    if n < m:
+        raise EmbeddingFailure(f"need at least {m} positive terms, have {n}")
+    found = _place_km_c4(seq.terms, m)
+    if found is None:
+        raise EmbeddingFailure(
+            f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
         )
-        cert.revalidate(seq)
-        return cert
-    raise EmbeddingFailure(
-        f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
-    )
+    adj, hubs, pairs = found
+    pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
+    cert = RealizationCertificate(Graph(n, tuple(adj)), tuple(range(m)), tuple(sorted(hubs)), pairs)
+    cert.revalidate(seq)
+    return cert
 
 
 def realize_with_k6c4(seq: DegreeSequence, unchecked: bool = False) -> RealizationCertificate:
@@ -471,28 +481,13 @@ def realize_with_k5c4(seq: DegreeSequence, unchecked: bool = False) -> Realizati
 # enumeration, sigma search, verification
 
 
-def _descending_tuples(n: int, cap: int, min_term: int) -> Iterator[tuple[int, ...]]:
-    prefix: list[int] = []
-
-    def rec(remaining: int, top: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield tuple(prefix)
-            return
-        for v in range(top, min_term - 1, -1):
-            prefix.append(v)
-            yield from rec(remaining - 1, v)
-            prefix.pop()
-
-    yield from rec(n, cap)
-
-
 def enumerate_graphic_sequences(n: int, min_term: int = 1) -> Iterator[DegreeSequence]:
     """All graphic sequences with n positive terms, lexicographically decreasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if min_term < 1:
         raise ValueError("min_term must be >= 1")
-    for terms in _descending_tuples(n, n - 1, min_term):
+    for terms in combinations_with_replacement(range(n - 1, min_term - 1, -1), n):
         if sum(terms) % 2 == 0 and _eg_ok(terms):
             yield DegreeSequence(terms)
 
@@ -520,7 +515,7 @@ def sigma_search(n: int, target: TargetPattern = K6_MINUS_C4, bound: int | None 
     Decided by the exhaustive oracle for every target, so the value is
     independent of the closed-form deciders.
     """
-    oracle = TARGETS[_key_of(target)].oracle
+    entry = TARGETS[_key_of(target)]
     if n < target.vertex_count:
         raise ValueError(f"sigma search for {target.name} requires n >= {target.vertex_count}")
     limit = resolve_oracle_bound(bound)
@@ -528,7 +523,7 @@ def sigma_search(n: int, target: TargetPattern = K6_MINUS_C4, bound: int | None 
         raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {limit}")
     best: DegreeSequence | None = None
     for seq in enumerate_graphic_sequences(n):
-        if not oracle(seq, bound=limit) and (best is None or seq.sigma > best.sigma):
+        if not oracle_decide(seq, entry, limit) and (best is None or seq.sigma > best.sigma):
             best = seq
     value = 0 if best is None else best.sigma + 2
     return SigmaSearchResult(n=n, target=target.name, value=value, witness=best)
@@ -583,7 +578,7 @@ def _verify_one(args: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]
     seq = DegreeSequence(terms)
     target = TARGETS[key]
     verdict = target.decide(seq)
-    return (verdict.decision, verdict.reason, target.oracle(seq, bound=bound))
+    return (verdict.decision, verdict.reason, oracle_decide(seq, target, bound))
 
 
 def verify_range(
@@ -607,7 +602,9 @@ def verify_range(
     tasks = [(s.terms, key, limit) for s in seqs]
     mismatches: list[Mismatch] = []
     with Pool(processes=jobs) if jobs > 1 and len(tasks) > 1 else nullcontext() as pool:
-        results = pool.imap(_verify_one, tasks, chunksize=8) if pool else map(_verify_one, tasks)
+        # large chunks at large n: a call is cheap next to pickling a task
+        chunks = max(8, len(tasks) // (jobs * 64))
+        results = pool.imap(_verify_one, tasks, chunksize=chunks) if pool else map(_verify_one, tasks)
         for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
             if (decision == "yes") != oracle:
                 mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))
@@ -630,23 +627,21 @@ def verify_range(
 @dataclass(frozen=True)
 class Target:
     """What potseq knows about one pattern: its closed-form decider, its
-    constructive realizer, its exhaustive oracle (``oracle(seq, bound=)``)
-    and, when the paper gives one, its sigma formula.  The minimum sequence
-    length is ``pattern.vertex_count``."""
+    constructive realizer, the containment test ``accept(adj, u)`` that
+    ``oracle_decide`` runs (a full test for ``u = -1``, else only copies
+    through ``u``) and, when the paper gives one, its sigma formula.  The
+    minimum sequence length is ``pattern.vertex_count``."""
 
     pattern: TargetPattern
     decide: Callable[[DegreeSequence], Verdict]
     realize: Callable[[DegreeSequence], RealizationCertificate]
-    oracle: Callable[..., bool]
+    accept: _Accept
     sigma_formula: Callable[[int], int] | None
 
 
 TARGETS = {
-    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, realize_with_k6c4, oracle_decide_k6c4, sigma_formula_k6c4),
-    "k5-c4": Target(
-        K5_MINUS_C4, decide_k5c4, realize_with_k5c4,
-        partial(oracle_decide_pattern, pattern=K5_MINUS_C4), None,
-    ),
+    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, realize_with_k6c4, _has_k6c4, sigma_formula_k6c4),
+    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, realize_with_k5c4, _has_k5c4, None),
 }
 
 

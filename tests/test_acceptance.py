@@ -3,8 +3,8 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines.  The
 decider-oracle sweeps and realizer completion cover n <= 10 for both
 targets, and agreement is also checked on 250 random graphs' degree
-sequences with n = 11..13; the n=11 sweeps are a long test, opt in with
-POTSEQ_RUN_LONG=1.
+sequences with n = 11..13; the n=11 and n=12 sweeps are long tests, opt in
+with POTSEQ_RUN_LONG=1.
 """
 
 import io
@@ -35,6 +35,7 @@ from potseq.graphs import (
 from potseq.search import (
     TARGETS,
     enumerate_graphic_sequences,
+    oracle_decide,
     oracle_decide_k6c4,
     realize_with_k5c4,
     realize_with_k6c4,
@@ -114,6 +115,17 @@ def test_criterion_1_2_long_n11(target):
     report(f"C1/C2-long decider-oracle equivalence, {target}, n=11", ok)
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=12 sweeps")
+@pytest.mark.parametrize("target", ["k6-c4", "k5-c4"])
+def test_criterion_1_2_long_n12(target):
+    argv = ["verify", "--n", "12", "--target", target, "--oracle-bound", "12", "--jobs", str(JOBS), "--json"]
+    code, out = run_cli(argv)
+    rep = json.loads(out)
+    ok = code == 0 and rep["total_sequences"] == 162769 and rep["mismatches"] == []
+    report(f"C1/C2-long decider-oracle equivalence, {target}, n=12", ok)
+
+
 def gnp_sequences(seed, count, n_range, p_range):
     # degree sequences of seeded G(n,p) draws whose n positive terms lie in n_range
     rng = random.Random(seed)
@@ -134,7 +146,7 @@ def test_criterion_1_2_gnp_sequences_n11_to_13(target):
     entry = TARGETS[target]
     seqs = gnp_sequences(13, 250, range(11, 14), (0.15, 0.6))
     bad = [
-        render_notation(s) for s in seqs if entry.decide(s).is_yes != entry.oracle(s, bound=13)
+        render_notation(s) for s in seqs if entry.decide(s).is_yes != oracle_decide(s, entry, bound=13)
     ]
     report(f"C1/C2 decider-oracle equivalence, {target}, 250 G(n,p) sequences, n=11..13", bad == [])
 

@@ -9,18 +9,23 @@ from potseq.graphs import (
     Graph,
     K5_MINUS_C4,
     K6_MINUS_C4,
+    TargetPattern,
+    _contains_pattern_adj,
     complete_graph,
     degree_sequence_of,
     encode_graph6,
     find_km_minus_c4,
 )
+import potseq.search as search
 from potseq.search import (
+    TARGETS,
     EmbeddingFailure,
     NotPotentialError,
     OracleBoundError,
     _complete,
     count_graphic_sequences,
     enumerate_graphic_sequences,
+    oracle_decide,
     oracle_decide_k6c4,
     oracle_decide_pattern,
     oracle_realization_k6c4,
@@ -196,10 +201,49 @@ def test_oracle_requires_graphic_input():
         oracle_decide_k6c4(seq("3^3,1"))
 
 
+def test_oracle_refuses_unregistered_pattern():
+    triangle = TargetPattern("K3", 3, ((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(ValueError):
+        oracle_decide_pattern(seq("2^3"), triangle)
+
+
+def exhaustive_only(s, pattern):
+    # the reference: the completion search alone, with the generic full
+    # containment test, no dominance precheck and no placement witness
+    accept = lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern)
+    return _complete(s.terms, [0] * s.n, accept) is not None
+
+
 def test_oracle_engines_agree_small():
-    for n in range(1, 8):
+    for target in TARGETS.values():
+        for n in range(1, 9):
+            for s in enumerate_graphic_sequences(n):
+                assert oracle_decide(s, target) == exhaustive_only(s, target.pattern), (target.pattern.name, s.terms)
+
+
+@pytest.mark.parametrize("key", ["k6-c4", "k5-c4"])
+@pytest.mark.parametrize("witness", ["wrong_degrees", "no_pattern"])
+def test_oracle_checks_the_placement_witness(monkeypatch, key, witness):
+    # a placement witness with other degrees than the sequence's (a complete
+    # graph, which contains the pattern), or with the right degrees but no
+    # copy of the pattern, must not turn a no into a yes
+    def fake_placement(d, m):
+        calls.append(d)
+        if witness == "wrong_degrees":
+            return list(complete_graph(len(d)).adj), (), ()
+        return list(realize_graphic(DegreeSequence(tuple(d))).adj), (), ()
+
+    monkeypatch.setattr(search, "_place_km_c4", fake_placement)
+    target = TARGETS[key]
+    calls = []
+    refuted = 0
+    for n in range(1, 9):
         for s in enumerate_graphic_sequences(n):
-            assert oracle_decide_k6c4(s) == oracle_decide_pattern(s, K6_MINUS_C4), s.terms
+            expected = exhaustive_only(s, target.pattern)
+            before = len(calls)
+            assert oracle_decide(s, target) == expected, s.terms
+            refuted += not expected and len(calls) > before
+    assert refuted > 0
 
 
 # --- enumeration ------------------------------------------------------------
