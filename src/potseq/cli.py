@@ -78,6 +78,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 "potential": verdict.is_yes,
                 "reason": verdict.reason,
                 "matched_exception": verdict.matched_exception,
+                "exception_index": verdict.exception_index,
+                "lhs": verdict.lhs,
+                "rhs": verdict.rhs,
+                "family_k": verdict.family_k,
+                "family_i": verdict.family_i,
             }
         )
     else:

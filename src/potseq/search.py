@@ -489,7 +489,7 @@ def enumerate_graphic_sequences(n: int, min_term: int = 1) -> Iterator[DegreeSeq
         raise ValueError("min_term must be >= 1")
     for terms in combinations_with_replacement(range(n - 1, min_term - 1, -1), n):
         if sum(terms) % 2 == 0 and _eg_ok(terms):
-            yield DegreeSequence(terms)
+            yield DegreeSequence._trusted(terms)
 
 
 def count_graphic_sequences(n: int) -> int:
@@ -575,7 +575,7 @@ class VerificationReport:
 
 def _verify_one(args: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]:
     terms, key, bound = args
-    seq = DegreeSequence(terms)
+    seq = DegreeSequence._trusted(terms)  # terms of an enumerated sequence
     target = TARGETS[key]
     verdict = target.decide(seq)
     return (verdict.decision, verdict.reason, oracle_decide(seq, target, bound))

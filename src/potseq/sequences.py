@@ -1,14 +1,15 @@
 """Degree sequences: exponent notation, graphicality tests, and the laying-off reduction.
 
 A sequence literal is a comma-separated list of items, each ``r`` or ``r^t``
-(``r`` repeated ``t`` times), e.g. ``"5^2,4^6"``.  Sequences are normalized to
-non-increasing order with zero terms stripped (and counted), so every stored
-term is positive.
+(``r`` repeated ``t`` times), e.g. ``"5^2,4^6"``.  ``r`` and ``t`` are runs of
+decimal digits (any character for which ``str.isdecimal`` holds), ``t >= 1``,
+and whitespace (``str.isspace``) may stand around each number and the ``^``.
+Sequences are normalized to non-increasing order with zero terms stripped
+(and counted), so every stored term is positive.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -62,12 +63,20 @@ class DegreeSequence:
         """Normalize arbitrary nonnegative values: sort, strip and count zeros."""
         vals = sorted(values, reverse=True)
         if vals and vals[-1] < 0:
-            raise ValueError(f"negative term: {min(vals)}")
-        zeros = 0
-        while vals and vals[-1] == 0:
-            vals.pop()
-            zeros += 1
-        return cls(tuple(vals), zeros)
+            raise ValueError(f"negative term: {vals[-1]}")
+        zeros = vals.count(0)
+        if zeros:
+            del vals[-zeros:]
+        return cls._trusted(tuple(vals), zeros)
+
+    @classmethod
+    def _trusted(cls, terms: tuple[int, ...], zeros: int = 0) -> "DegreeSequence":
+        """Build from terms the caller knows are non-increasing and positive,
+        skipping the check in ``__post_init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "stripped_zeros", zeros)
+        return self
 
     @property
     def n(self) -> int:
@@ -107,8 +116,6 @@ class SequenceShape:
     matches: bool
 
 
-_ITEM_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
-
 # Most terms a literal may expand to, counted before any list is built, so a
 # short literal such as "1^10000000000" cannot exhaust memory.
 MAX_TERMS = 1_000_000
@@ -117,18 +124,24 @@ MAX_TERMS = 1_000_000
 def parse_notation(text: str) -> DegreeSequence:
     """Parse exponent notation (``"5^2,4^6"``) into a normalized sequence.
 
-    A literal expanding to more than ``MAX_TERMS`` terms is refused.
+    Each comma item is ``r`` or ``r^t``, with optional whitespace around each
+    number and the ``^`` (see the module docstring).  The first bad item is
+    reported, checked in this order: malformed, number too long for
+    ``int()``, repeat count below 1, and a running total of more than
+    ``MAX_TERMS`` terms.
     """
     if text is None or not text.strip():
         raise NotationError(text or "", "empty sequence literal")
     values: list[int] = []
     for item in text.split(","):
-        m = _ITEM_RE.match(item)
-        if m is None:
+        head, caret, tail = item.partition("^")
+        head = head.strip()
+        tail = tail.strip()
+        if not head.isdecimal() or (caret and not tail.isdecimal()):
             raise NotationError(item.strip() or item, "malformed item")
         try:
-            value = int(m.group(1))
-            count = 1 if m.group(2) is None else int(m.group(2))
+            value = int(head)
+            count = int(tail) if caret else 1
         except ValueError:  # more digits than int() converts
             raise NotationError(item.strip(), "number too long") from None
         if count < 1:
@@ -140,11 +153,20 @@ def parse_notation(text: str) -> DegreeSequence:
 
 
 def render_notation(seq: DegreeSequence) -> str:
-    """Canonical exponent notation; inverse of :func:`parse_notation`."""
+    """Canonical exponent notation; inverse of :func:`parse_notation`.
+
+    Each run of equal terms is one item; its end is found by bisection.
+    """
+    terms = seq.terms
+    n = len(terms)
     parts = []
-    for value, run in groupby(seq.terms):
-        count = len(list(run))
+    i = 0
+    while i < n:
+        value = terms[i]
+        end = bisect_right(terms, -value, i, n, key=neg)
+        count = end - i
         parts.append(f"{value}^{count}" if count > 1 else str(value))
+        i = end
     return ",".join(parts)
 
 

@@ -98,7 +98,55 @@ def test_check_json_schema():
         "potential": False,
         "reason": "COND3_FIXED",
         "matched_exception": "5^2,4^6",
+        "exception_index": 0,
+        "lhs": None,
+        "rhs": None,
+        "family_k": None,
+        "family_i": None,
     }
+
+
+NUMBERS = ("lhs", "rhs", "exception_index", "family_k", "family_i")
+
+
+@pytest.mark.parametrize(
+    "literal,target,reason,numbers,human",
+    [
+        (
+            "6^3,3^4",
+            "k6-c4",
+            "COND2_SUM",
+            (18, 16, None, None, None),
+            "fails condition (2): d1+d2+d3 = 18 > n+2k+t+1 = 16",
+        ),
+        (
+            "5^2,4^6",
+            "k6-c4",
+            "COND3_FIXED",
+            (None, None, 0, None, None),
+            "matches exception (5^2,4^6)",
+        ),
+        (
+            "5,4,2^3,1",
+            "k5-c4",
+            "COND2_FAMILY_KI",
+            (None, None, None, 1, 3),
+            "matches exception family (n-k,k+i,2^i,1^(n-i-2)) with k = 1, i = 3",
+        ),
+    ],
+    ids=["COND2_SUM", "COND3_FIXED", "COND2_FAMILY_KI"],
+)
+def test_check_json_carries_the_numbers(literal, target, reason, numbers, human):
+    code, out, _ = run(["check", literal, "--target", target, "--json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["reason"] == reason
+    assert tuple(payload[key] for key in NUMBERS) == numbers
+    # the human output does not carry the new keys
+    code, out, _ = run(["check", literal, "--target", target])
+    assert code == 1
+    name = cli.TARGETS[target].pattern.name
+    assert out == f"sequence: {literal}\ntarget: {name}\nverdict: no ({reason})\n{human}\n"
 
 
 def test_check_too_many_terms_is_a_usage_error():

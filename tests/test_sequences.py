@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -53,7 +54,25 @@ def test_parse_accepts_whitespace():
     assert seq(" 5 ^ 2 , 4 ").terms == (5, 5, 4)
 
 
-@pytest.mark.parametrize("bad", ["", "  ", "5,,4", "a", "5^", "^3", "5^-1", "-3", "5^0", "3.5"])
+@pytest.mark.parametrize(
+    "text,terms",
+    [
+        ("\t5\n^\x0b2", (5, 5)),  # any str.isspace whitespace around numbers and ^
+        ("\u0663,3", (3, 3)),  # ARABIC-INDIC DIGIT THREE is a decimal digit
+    ],
+)
+def test_parse_accepts_isspace_and_isdecimal(text, terms):
+    assert seq(text).terms == terms
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "", "  ", "5,,4", "a", "5^", "^3", "5^-1", "-3", "5^0", "3.5",
+        "\u00b2",  # SUPERSCRIPT TWO is a digit but not a decimal
+        "+5", "5_0", "1^+2",  # int() takes these, the grammar does not
+    ],
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(NotationError):
         parse_notation(bad)
@@ -92,6 +111,80 @@ def test_render_canonical(terms, text):
 def test_parse_render_round_trip(values):
     s = DegreeSequence.of(values)
     assert parse_notation(render_notation(s)) == s
+
+
+def test_render_long_run():
+    assert render_notation(parse_notation("2^1000000")) == "2^1000000"
+
+
+# The grammar as a regular expression: the reference for parse_notation.
+# Python's \s and \d on str patterns are str.isspace and str.isdecimal.
+_ITEM_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
+
+
+def reference_parse(text):
+    """(terms, stripped_zeros) of a literal, by the regular expression."""
+    if text is None or not text.strip():
+        raise NotationError(text or "", "empty sequence literal")
+    values = []
+    for item in text.split(","):
+        m = _ITEM_RE.match(item)
+        if m is None:
+            raise NotationError(item.strip() or item, "malformed item")
+        try:
+            value = int(m.group(1))
+            count = 1 if m.group(2) is None else int(m.group(2))
+        except ValueError:
+            raise NotationError(item.strip(), "number too long") from None
+        if count < 1:
+            raise NotationError(item.strip(), "repeat count must be >= 1")
+        if len(values) + count > MAX_TERMS:
+            raise NotationError(item.strip(), f"literal has more than {MAX_TERMS} terms")
+        values.extend([value] * count)
+    return tuple(sorted((v for v in values if v), reverse=True)), values.count(0)
+
+
+def parsed(text):
+    s = parse_notation(text)
+    return s.terms, s.stripped_zeros
+
+
+def outcome(parse, text):
+    try:
+        result = parse(text)
+    except NotationError as exc:
+        return ("error", exc.token, str(exc))
+    return ("ok", result)
+
+
+# ASCII and Unicode digits (DIGIT ONE of MATHEMATICAL DOUBLE-STRUCK is a
+# decimal, SUPERSCRIPT TWO is not), whitespace that str.isspace accepts
+# (\x1c is a separator, \xa0 and U+3000 are spaces), and other characters
+# int() or float() would take.
+LITERAL_ALPHABET = "0123456789\u0663\U0001d7d9\u00b2,,^^  \t\n\x0b\x1c\xa0\u3000+-_.ax"
+
+
+@given(st.text(alphabet=LITERAL_ALPHABET, max_size=24))
+@settings(max_examples=500, deadline=None)  # a count may expand to ~10**6 terms
+def test_parse_matches_reference_regex(text):
+    assert outcome(parsed, text) == outcome(reference_parse, text)
+
+
+def test_trusted_construction_keeps_public_check():
+    with pytest.raises(ValueError, match=re.escape("terms not non-increasing: (1, 2)")):
+        DegreeSequence((1, 2))
+    with pytest.raises(ValueError, match=re.escape("terms must be positive: (2, 0)")):
+        DegreeSequence((2, 0))
+    with pytest.raises(ValueError, match=re.escape("negative term: -1")):
+        DegreeSequence.of([3, -1, 0])
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), max_size=40))
+def test_of_agrees_with_public_constructor(values):
+    s = DegreeSequence.of(values)
+    assert s == DegreeSequence(s.terms)
+    assert s.stripped_zeros == values.count(0)
+    assert type(s.terms) is tuple
 
 
 # --- sigma ------------------------------------------------------------------
