@@ -4,12 +4,16 @@ and decider-vs-oracle verification.
 
 One completion engine, ``_complete``, serves the oracle and the realizer.
 It saturates one vertex at a time (largest residual first, neighbor sets in
-lexicographic order) with an Erdos-Gallai feasibility check on the residual
-demand after each step.  Candidates with equal residual and equal adjacency
-mask are twins, and swapping two twins maps the partial graph and residuals
-onto themselves; so of the neighbor sets that differ only in which twins
-they take, just the first in lexicographic order is expanded (orbit pruning
-in the style of McKay, "Isomorph-free exhaustive generation", 1998).  The
+lexicographic order) with an Erdos-Gallai feasibility check on the non-zero
+residual demands after each step.  Every edge it adds has a saturated end,
+so unsaturated vertices are adjacent only through edges of the starting
+graph, and a step finds its candidates from the residuals and that graph
+alone, without a scan of the partial graph.  Candidates with equal
+residual and equal adjacency mask are twins, and swapping two twins maps
+the partial graph and residuals onto themselves; so of the neighbor sets
+that differ only in which twins they take, just the first in
+lexicographic order is expanded (orbit pruning in the style of McKay,
+"Isomorph-free exhaustive generation", 1998).  The
 search is still exhaustive up to isomorphism: every realization is
 isomorphic to one in the pruned tree, and the oracle's containment test does
 not change under isomorphism.  The first success in the pruned tree is the
@@ -42,7 +46,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, compress
 from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
@@ -174,6 +178,16 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
     edge touches ``u``: a test that only looks at copies through ``u`` is
     exact.
 
+    Every edge the search adds has a saturated end: it joins the step's
+    ``u``, whose residual stays 0 while its frame is open, to a neighbor.
+    So two unsaturated vertices are adjacent only through an edge of
+    ``base``, and a step's candidates are the other unsaturated vertices
+    minus ``base[u]``, found without a scan of ``adj``; the filter runs
+    only when ``base[u]`` is non-zero (the realizer's top m vertices;
+    never in the oracle's search, whose base is empty).  The Erdos-Gallai
+    check after a step looks at the non-zero residuals only: a saturated
+    vertex adds a zero term, which changes no inequality.
+
     Each saturated vertex has a frame on an explicit stack: ``[u, r,
     cands, combinations iterator, twin map, set applied]``.  The first set
     never takes a twin without its earlier twins, so it is tried as the
@@ -185,6 +199,7 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
     adj = list(base)
     if accept is not None and accept(adj, -1):
         return adj
+    n = len(adj)
     residual = list(demand)
     stack: list[list] = []
     while True:
@@ -196,8 +211,11 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
                 return adj
         else:
             u = residual.index(r)
-            blocked = adj[u] | 1 << u
-            cands = [v for v, x in enumerate(residual) if x and not blocked >> v & 1]
+            # unsaturated vertices are adjacent only through base edges
+            cands = list(compress(range(n), residual))
+            cands.remove(u)
+            if base[u]:
+                cands = [v for v in cands if not base[u] >> v & 1]
             if r <= len(cands):
                 residual[u] = 0
                 combos = combinations(cands, r)
@@ -226,9 +244,10 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
                     continue
             for v in combo:
                 residual[v] -= 1
-            # exact when unsaturated vertices are pairwise non-adjacent (empty
-            # base); otherwise it ignores blocked pairs and is merely necessary
-            if not _eg_ok(sorted(residual, reverse=True)):
+            # on the live terms: zeros change no inequality.  Exact when
+            # unsaturated vertices are pairwise non-adjacent (empty base);
+            # otherwise it ignores base pairs and is merely necessary
+            if not _eg_ok(sorted(filter(None, residual), reverse=True)):
                 for v in combo:
                     residual[v] += 1
                 frame[5] = ()
@@ -370,12 +389,24 @@ class RealizationCertificate:
         return sorted(edges)
 
     def revalidate(self, seq: DegreeSequence) -> None:
-        """Check degrees and the stated embedding; sets ``checked``."""
+        """Check degrees and the stated embedding; sets ``checked``.
+
+        The role edges are checked by masks; only when one is missing does
+        the edge-by-edge scan run, to name the first missing edge."""
         if degree_sequence_of(self.graph).terms != seq.terms:
             raise EmbeddingFailure("certificate degrees do not match the sequence")
-        for u, v in self.role_edges():
-            if not self.graph.has_edge(u, v):
-                raise EmbeddingFailure(f"certificate is missing role edge ({u},{v})")
+        adj = self.graph.adj
+        try:
+            hosts = sum(1 << x for x in set(self.hosts))
+            found = all((adj[h] | 1 << h) & hosts == hosts for h in self.hubs) and all(
+                adj[a] >> b & 1 for a, b in self.pairs
+            )
+        except (IndexError, ValueError):  # a role vertex outside the graph
+            found = False
+        if not found:
+            for u, v in self.role_edges():
+                if not self.graph.has_edge(u, v):
+                    raise EmbeddingFailure(f"certificate is missing role edge ({u},{v})")
         self.checked = True
 
 
@@ -415,18 +446,16 @@ def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], tuple[int, ...], 
     ``d`` (non-increasing, at least m terms) that has K_m - C4 on vertices
     0..m-1, as (adjacency, hubs, pairs); None when no placement completes."""
     n = len(d)
-    pattern_degree = {True: m - 1, False: m - 3}
+    top = (1 << m) - 1
     for hubs, pairs in _role_assignments(d, m):
-        hub_set = set(hubs)
-        base = [0] * n
+        hub_mask = sum(1 << h for h in hubs)
+        base = [hub_mask] * m + [0] * (n - m)
         demand = list(d)
         for v in range(m):
-            demand[v] -= pattern_degree[v in hub_set]
+            demand[v] -= m - 3
         for h in hubs:
-            for x in range(m):
-                if x != h:
-                    base[h] |= 1 << x
-                    base[x] |= 1 << h
+            base[h] = top ^ 1 << h
+            demand[h] -= 2
         for a, b in pairs:
             base[a] |= 1 << b
             base[b] |= 1 << a

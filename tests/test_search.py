@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -35,11 +36,20 @@ from potseq.search import (
     sigma_search,
     verify_range,
 )
-from potseq.sequences import DegreeSequence, parse_notation, render_notation
+from potseq.sequences import DegreeSequence, _eg_ok, parse_notation, render_notation
 
 
 def seq(text):
     return parse_notation(text)
+
+
+def gnp_degrees(rng, n, p):
+    degrees = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            degrees[u] += 1
+            degrees[v] += 1
+    return degrees
 
 
 # --- plain realization ------------------------------------------------------
@@ -118,6 +128,42 @@ def test_oracle_realizations_are_byte_stable():
     assert digest.hexdigest() == "274d4844c175246486ad47297536b751e812d930466f07e04b0f04f6210d65d0"
 
 
+def test_certificates_are_byte_stable_large_n():
+    # graph6 of every certificate for seeded G(n,p) sequences at the sizes of
+    # the realize-stream benchmark, n = 9..32, pinned like the n <= 8 golden
+    digest = hashlib.sha256()
+    lines = 0
+    for n in range(9, 33):
+        rng = random.Random(n)
+        for p in (0.2, 0.35, 0.5):
+            for _ in range(4):
+                s = DegreeSequence.of(gnp_degrees(rng, n, p))
+                for decide, realize in ((decide_k6c4, realize_with_k6c4), (decide_k5c4, realize_with_k5c4)):
+                    if decide(s).is_yes:
+                        digest.update(encode_graph6(realize(s).graph).encode() + b"\n")
+                        lines += 1
+    assert lines == 536
+    assert digest.hexdigest() == "a61ee524f633827a38fe2d67d80dcd4d79d83133f744147f6d4851fa63324549"
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"pairs": ((2, 3), (4, 5))}, "certificate is missing role edge (2,3)"),
+        ({"hubs": (0, 2)}, "certificate is missing role edge (2,3)"),
+        ({"hubs": (0, 9)}, "certificate is missing role edge (0,9)"),
+        ({"graph": complete_graph(6)}, "certificate degrees do not match the sequence"),
+    ],
+)
+def test_revalidate_names_the_first_missing_edge(change, message):
+    s = seq("5^2,3^4")
+    cert = dataclasses.replace(realize_with_k6c4(s), checked=False, **change)
+    with pytest.raises(EmbeddingFailure) as exc:
+        cert.revalidate(s)
+    assert str(exc.value) == message
+    assert not cert.checked
+
+
 def test_realize_with_k5c4():
     cert = realize_with_k5c4(seq("4^5"))
     assert cert.hosts == (0, 1, 2, 3, 4)
@@ -149,6 +195,116 @@ def test_completion_engine_matches_brute_force():
             Graph(n, tuple(got))  # symmetric and loop-free
             assert [(a & ~b).bit_count() for a, b in zip(got, base)] == demand
             assert all(a & b == b for a, b in zip(got, base))
+
+
+def reference_complete(demand, base, accept):
+    # the completion engine with candidates scanned from the partial graph
+    # and the Erdos-Gallai check on every residual, zeros included: the
+    # reference that search._complete must match
+    if sum(demand) % 2:
+        return None
+    adj = list(base)
+    if accept is not None and accept(adj, -1):
+        return adj
+    residual = list(demand)
+    stack = []
+    while True:
+        combo = None
+        r = max(residual, default=0)
+        if r == 0:
+            if accept is None:
+                return adj
+        else:
+            u = residual.index(r)
+            blocked = adj[u] | 1 << u
+            cands = [v for v, x in enumerate(residual) if x and not blocked >> v & 1]
+            if r <= len(cands):
+                residual[u] = 0
+                combos = itertools.combinations(cands, r)
+                frame = [u, r, cands, combos, None, ()]
+                stack.append(frame)
+                combo = next(combos)
+        while True:
+            if combo is None:
+                if not stack:
+                    return None
+                frame = stack[-1]
+                u, r, cands, combos, twin_before, applied = frame
+                bit = 1 << u
+                for v in applied:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= bit
+                    residual[v] += 1
+                if twin_before is None:
+                    twin_before = frame[4] = search._twin_before(adj, residual, cands)
+                combo = search._next_set(combos, twin_before)
+                if combo is None:
+                    residual[u] = r
+                    stack.pop()
+                    continue
+            for v in combo:
+                residual[v] -= 1
+            if not _eg_ok(sorted(residual, reverse=True)):
+                for v in combo:
+                    residual[v] += 1
+                frame[5] = ()
+                combo = None
+                continue
+            frame[5] = combo
+            bit = 1 << u
+            nb = adj[u]
+            for v in combo:
+                nb |= 1 << v
+                adj[v] |= bit
+            adj[u] = nb
+            if accept is not None and accept(adj, u):
+                return adj
+            break
+
+
+def test_completion_engine_matches_reference_random():
+    rng = random.Random(8)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        p = rng.random() * 0.5
+        base = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                base[u] |= 1 << v
+                base[v] |= 1 << u
+        demand = [rng.randint(0, 3) for _ in range(n)]
+        assert _complete(demand, base, None) == reference_complete(demand, base, None), (base, demand)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        demand = gnp_degrees(rng, n, rng.uniform(0.3, 0.9))
+        for accept in (search._has_k5c4, search._has_k6c4):
+            empty = [0] * n
+            assert _complete(demand, empty, accept) == reference_complete(demand, empty, accept), demand
+
+
+def test_completion_engine_matches_reference_on_placements(monkeypatch):
+    # every completion problem the realizer's placement poses, for seeded
+    # G(n,p) sequences at the realize-stream benchmark's sizes
+    engine = search._complete
+    problems = []
+
+    def both(demand, base, accept):
+        got = engine(demand, base, accept)
+        assert got == reference_complete(demand, base, accept), (list(demand), list(base))
+        problems.append(got is not None)
+        return got
+
+    monkeypatch.setattr(search, "_complete", both)
+    rng = random.Random(32)
+    sample = [DegreeSequence.of(gnp_degrees(rng, 8 + i % 25, rng.uniform(0.15, 0.6))) for i in range(300)]
+    # these G(n,p) placements all complete; decider-rejected sequences add
+    # placements that do not
+    sample += [seq(text) for text in ("5^2,4^6", "5^3,3^3", "6^2,3^6", "4^2,2^3")]
+    for s in sample:
+        for m in (6, 5):
+            if s.n >= m:
+                search._place_km_c4(s.terms, m)
+    assert len(problems) > 500 and False in problems
 
 
 # --- oracle -----------------------------------------------------------------
