@@ -47,7 +47,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, compress
-from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
 from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
@@ -518,7 +517,7 @@ def enumerate_graphic_sequences(n: int, min_term: int = 1) -> Iterator[DegreeSeq
         raise ValueError("min_term must be >= 1")
     for terms in combinations_with_replacement(range(n - 1, min_term - 1, -1), n):
         if sum(terms) % 2 == 0 and _eg_ok(terms):
-            yield DegreeSequence._trusted(terms)
+            yield DegreeSequence._trusted(terms, 0, True)
 
 
 def count_graphic_sequences(n: int) -> int:
@@ -604,7 +603,7 @@ class VerificationReport:
 
 def _verify_one(args: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]:
     terms, key, bound = args
-    seq = DegreeSequence._trusted(terms)  # terms of an enumerated sequence
+    seq = DegreeSequence._trusted(terms, 0, True)  # terms of an enumerated sequence
     target = TARGETS[key]
     verdict = target.decide(seq)
     return (verdict.decision, verdict.reason, oracle_decide(seq, target, bound))
@@ -630,7 +629,12 @@ def verify_range(
     key = _key_of(target)
     tasks = [(s.terms, key, limit) for s in seqs]
     mismatches: list[Mismatch] = []
-    with Pool(processes=jobs) if jobs > 1 and len(tasks) > 1 else nullcontext() as pool:
+    pool = None
+    if jobs > 1 and len(tasks) > 1:
+        from multiprocessing import Pool  # imported here: a serial run never pays for it
+
+        pool = Pool(processes=jobs)
+    with pool or nullcontext():
         # large chunks at large n: a call is cheap next to pickling a task
         chunks = max(8, len(tasks) // (jobs * 64))
         results = pool.imap(_verify_one, tasks, chunksize=chunks) if pool else map(_verify_one, tasks)

@@ -46,10 +46,15 @@ class DegreeSequence:
 
     ``stripped_zeros`` records how many zero terms were dropped during
     normalization; it is metadata and does not take part in equality.
+    ``_graphic`` holds the answer of :func:`is_graphic` once known (None
+    until then).  It is a plain class attribute, not a field, so it takes
+    no part in equality, hashing, ``repr`` or ``dataclasses.replace``, and
+    ``__getstate__`` leaves it out of pickles.
     """
 
     terms: tuple[int, ...]
     stripped_zeros: int = field(default=0, compare=False)
+    _graphic = None
 
     def __post_init__(self) -> None:
         for a, b in zip(self.terms, self.terms[1:]):
@@ -70,13 +75,28 @@ class DegreeSequence:
         return cls._trusted(tuple(vals), zeros)
 
     @classmethod
-    def _trusted(cls, terms: tuple[int, ...], zeros: int = 0) -> "DegreeSequence":
+    def _trusted(
+        cls, terms: tuple[int, ...], zeros: int = 0, graphic: bool | None = None
+    ) -> "DegreeSequence":
         """Build from terms the caller knows are non-increasing and positive,
-        skipping the check in ``__post_init__``."""
+        skipping the check in ``__post_init__``.
+
+        A caller that has just decided graphicality of exactly these terms
+        (``enumerate_graphic_sequences`` and ``verify_range``'s per-sequence
+        job, on enumerated terms) passes it as ``graphic``; it is stored as
+        the answer :func:`is_graphic` returns.  Any other caller leaves it
+        None."""
         self = object.__new__(cls)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "stripped_zeros", zeros)
+        if graphic is not None:
+            object.__setattr__(self, "_graphic", graphic)
         return self
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_graphic", None)
+        return state
 
     @property
     def n(self) -> int:
@@ -224,14 +244,25 @@ def _eg_ok(terms) -> bool:
 
     Run ends and counts of terms >= r come from ``bisect``; the terms below r
     are added up once each as r grows.
+
+    Before the loop, an O(1) acceptance: by the theorem of Zverovich and
+    Zverovich (Discrete Math. 105 (1992) 293-303), an even-sum sequence of n
+    terms, all in [a, b] with a >= 1, is graphic when 4an >= (a + b + 1)^2.
+    With a the smallest term and b the largest, the test only ever returns
+    True, and only where the theorem proves it; every other sequence goes on
+    to the loop, which decides it.  So the answer is the same as without it.
     """
     n = len(terms)
     if sum(terms) % 2:
         return False
     if n == 0:
         return True
-    if terms[0] >= n:  # d1 < n keeps every tested r below n
+    hi = terms[0]
+    if hi >= n:  # d1 < n keeps every tested r below n
         return False
+    lo = terms[-1]
+    if lo and 4 * lo * n >= (lo + hi + 1) ** 2:
+        return True
     prefix = 0  # sum of terms[:r]
     low = 0  # sum of terms[below:], the terms smaller than r
     below = n
@@ -293,8 +324,18 @@ def is_graphic_layoff(seq: DegreeSequence) -> bool:
 
 
 def is_graphic(seq: DegreeSequence) -> bool:
-    """True iff the sequence is the degree sequence of some simple graph."""
-    return _eg_ok(seq.terms)
+    """True iff the sequence is the degree sequence of some simple graph.
+
+    Decided by :func:`_eg_ok` at most once per sequence: the answer is
+    stored on the sequence (``DegreeSequence._graphic``) and returned by
+    later calls.  ``DegreeSequence._trusted`` may store it in advance, for
+    terms its caller has just proved graphic; :func:`is_graphic_layoff`
+    never reads it."""
+    graphic = seq._graphic
+    if graphic is None:
+        graphic = _eg_ok(seq.terms)
+        object.__setattr__(seq, "_graphic", graphic)
+    return graphic
 
 
 _LOW_DEGREE_EXCEPTIONS = ((3, 3, 3, 1), (3, 3, 1, 1))

@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +40,7 @@ from potseq.search import (
     sigma_search,
     verify_range,
 )
-from potseq.sequences import DegreeSequence, _eg_ok, parse_notation, render_notation
+from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation
 
 
 def seq(text):
@@ -357,6 +361,21 @@ def test_oracle_requires_graphic_input():
         oracle_decide_k6c4(seq("3^3,1"))
 
 
+@pytest.mark.parametrize("asked_first", [False, True])
+def test_non_graphic_is_refused_whether_or_not_its_answer_is_stored(asked_first):
+    def fresh():
+        s = seq("3^3,1")
+        if asked_first:
+            assert is_graphic(s) is False
+        return s
+
+    assert decide_k6c4(fresh()).reason == "NOT_GRAPHIC"
+    assert decide_k5c4(fresh()).reason == "NOT_GRAPHIC"
+    for target in TARGETS.values():
+        with pytest.raises(ValueError, match="graphic"):
+            oracle_decide(fresh(), target)
+
+
 def test_oracle_refuses_unregistered_pattern():
     triangle = TargetPattern("K3", 3, ((0, 1), (0, 2), (1, 2)))
     with pytest.raises(ValueError):
@@ -455,6 +474,12 @@ def test_enumeration_matches_brute_force_graph_sweep():
             assert (oracle_decide_k6c4(s), oracle_decide_pattern(s, K5_MINUS_C4)) == seen[s.terms], s.terms
 
 
+def test_enumeration_records_graphicity():
+    for n in range(1, 9):
+        for s in enumerate_graphic_sequences(n):
+            assert s._graphic is True and _eg_ok(s.terms), s.terms
+
+
 def test_enumeration_min_term():
     only_cubic_or_more = list(enumerate_graphic_sequences(6, min_term=3))
     assert all(s.terms[-1] >= 3 for s in only_cubic_or_more)
@@ -525,3 +550,18 @@ def test_verify_range_progress_callback():
     calls = []
     verify_range(3, K6_MINUS_C4, progress=lambda done, total: calls.append((done, total)))
     assert calls == [(1, 2), (2, 2)]
+
+
+def test_serial_verify_does_not_import_multiprocessing():
+    # importing multiprocessing is paid only by a run with jobs > 1
+    code = (
+        "import sys, potseq, potseq.cli\n"
+        "from potseq.search import verify_range\n"
+        "assert not verify_range(6).mismatches\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("POTSEQ_ORACLE_BOUND", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 import re
 from itertools import combinations_with_replacement
@@ -187,6 +189,30 @@ def test_of_agrees_with_public_constructor(values):
     assert type(s.terms) is tuple
 
 
+def test_graphic_answer_is_stored_but_not_part_of_the_value():
+    known, fresh = seq("5^2,4^6"), seq("5^2,4^6")
+    assert is_graphic(known) is True
+    assert known._graphic is True and fresh._graphic is None
+    assert known == fresh and hash(known) == hash(fresh) and repr(known) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(known)] == ["terms", "stripped_zeros"]
+    assert dataclasses.replace(known)._graphic is None
+    assert pickle.dumps(known) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(known))
+    assert back == known and back._graphic is None
+    no = seq("3^3,1")
+    assert is_graphic(no) is False and no._graphic is False
+    assert is_graphic(no) is False
+
+
+def test_trusted_answer_is_read_by_is_graphic_only():
+    # a trusted caller's answer is taken as given; the layoff test, the
+    # independent check, never reads it
+    told = DegreeSequence._trusted((3, 3, 3, 1), 0, True)
+    assert is_graphic(told) is True
+    assert is_graphic_layoff(told) is False
+    assert DegreeSequence._trusted((3, 3, 3, 1))._graphic is None
+
+
 # --- sigma ------------------------------------------------------------------
 
 
@@ -275,6 +301,26 @@ def test_eg_kernel_matches_every_r_reference():
             assert _eg_ok(terms) is want and _eg_ok(list(terms)) is want, terms
             count += 1
     assert count == 125_476
+
+
+def test_eg_kernel_two_valued_boundary():
+    # (b^k, a^(n-k)) is where the O(1) acceptance 4an >= (a+b+1)^2 is
+    # tight, so every even-sum one with n <= 24 is checked on both sides of
+    # the bound, against the layoff test, which shares no code with it
+    count = accepted = 0
+    for n in range(1, 25):
+        for a in range(1, n):
+            for b in range(a, n):
+                for k in range(1, n + 1):
+                    terms = (b,) * k + (a,) * (n - k)
+                    if sum(terms) % 2:
+                        continue
+                    want = is_graphic_layoff(DegreeSequence(terms))
+                    assert _eg_ok(terms) is want, terms
+                    count += 1
+                    accepted += 4 * a * n >= (a + b + 1) ** 2
+    assert count == 27_392
+    assert 0 < accepted < count
 
 
 def gnp_half_degrees(n, seed):
