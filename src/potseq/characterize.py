@@ -2,33 +2,75 @@
 
 A graphic sequence with at least 6 terms is potentially K6-C4-graphic iff
 
-  (1) d2 >= 5 and d6 >= 3;
-  (2) if every term after the third is at most 3, writing the sequence as
-      (d1,d2,d3,3^k,2^t,1^...), then d1 + d2 + d3 <= n + 2k + t + 1;
-  (3) it is none of 23 fixed exceptional sequences (shipped as a data file)
-      and belongs to neither family (n-1,5,3^5,1^(n-7)) nor
-      (n-1,5,3^6,1^(n-8));
-  (2') in the shape case of (2), for some choice of two hub positions among
-      the first three terms (hub degree >= 5), the head demands left after
-      placing the target on the six largest-degree vertices embed into the
-      tail: a simple bipartite graph from the three head vertices (demands
-      d-5, d-5, d-3) into the tail vertices (at most one edge per pair,
-      tail vertex capacity = its degree) must exist whose unused tail
-      capacities form a graphic sequence.
+  (1)  d2 >= 5 and d6 >= 3;
+  (2)  if every term after the third is at most 3, writing the sequence as
+       (d1,d2,d3,3^k,2^t,1^m), then d1 + d2 + d3 <= n + 2k + t + 1;
+  (2') it is none of F1 = (n-1,j^2,3^(j-1),1^(n-j-2)) for 5 <= j <= n-2,
+       F2 = ((n-2)^3,3^(n-4),2) and S = (5^2,3^5,2,1);
+  (3)  it is none of 23 fixed exceptional sequences (shipped as a data file)
+       and belongs to neither family A = (n-1,5,3^5,1^(n-7)) nor
+       B = (n-1,5,3^6,1^(n-8)).
 
-Condition (2') is the exact form of the counting bound (2); the count alone
-admits a handful of boundary sequences, the smallest being (6,5^2,3^4), that
-have no realization containing the target.  The exhaustive oracle
-(search module) adjudicates: decider and oracle agree on every graphic
-sequence the sweeps cover.
+The paper states (1)-(3).  Its counting bound (2) falls short on F1, F2 and
+S, the smallest being (6,5^2,3^4): they pass it, yet no realization
+contains the target.  The exhaustive oracle (search module) agrees with
+this decider on every graphic sequence its sweeps cover.
+
+Why (2').  In the shape case of (2) under (1), so k >= 3, put the two hubs
+of the target (degree 5) on two of the first three vertices and the rest of
+it on the third and on three tail 3s.  The other L = n-6 tail vertices
+(a = k-3 threes, t twos, m ones) must take the head demands p, at most one
+edge per pair, and realize what they keep among themselves: the residual
+test R.  Claim: for a graphic sequence passing (1) and (2), R fails exactly
+on F1, F2, S, A, B and 19 fixed sequences (one is F2 at n = 7), so past (3),
+(2') is R.  Let D = d1+d2+d3-13 (the demand sum for every hub choice), cap3
+= 3a+2t+m = n+2k+t-12 and s = cap3-D: (2) says s >= 0, parity makes s even.
+If the tail vertices keep l_v (summing to s), z of them keep their whole
+degree and y threes keep none, Gale-Ryser says p1 >= p2 >= p3 >= 0 embed
+iff z <= L-p1 and y <= p3.
+* Hubs d1, d2 give p = (d1-5,d2-5,d3-3), whose largest term is the smallest
+  and smallest term the largest over the three choices, so it embeds
+  whenever another does.  By (1), p3 >= 0.
+* By Erdos-Gallai, terms in 1..3 with even sum are graphic unless they are
+  bad: (2), (2,2), (3,1), (3,3), (3,2,1), (3,3,2), (3,3,1,1), (3,3,3,1).  So
+  1^s, 2^x 1^w with w >= 2 and any five or more such terms are graphic.
+* b1: p1 <= L (as z >= 0) fails iff d3 >= n-2.  Then s = 1-t-2m-#{i <= 3:
+  di = n-1} >= 0 and the even sum leave F1 with j = n-2, and F2.
+* b2: p3 >= a-s, i.e. p1+p2 <= 2a+2t+m (needed: s >= a-y >= a-p3).  Let b1
+  hold and b2 fail.  p3 = d3-3 would give d1+d2 >= 2a+2t+m+11, against
+  Erdos-Gallai at r = 2.  So p3 = d2-5, d1+d3 >= 2a+2t+m+9 and d1 <= n-1
+  give d2 >= d3 >= a+t+4, and s >= 0 forces t = s = 0, d1 = n-1 and
+  d2 = d3 = a+4 = j: F1 with j <= n-3.
+* Let b1 and b2 hold.  These leftovers meet both bounds:
+  - D >= L+a (s <= a+t): s vertices keep 1, 3s first, then 2s; z = 0,
+    y = max(0, a-s) <= p3; leftover 1^s.
+  - L <= D < L+a: each 1 keeps 0, each 2 keeps 1, each 3 keeps 1 or 2
+    (x = s-a-t keep 2); z = y = 0; leftover 2^x 1^(2a+2t-s), which is bad
+    only if t = 0 and s = 2a <= 4.  Then if m >= 1 and p1 < L, a 1 keeps 1
+    instead of a 3 keeping 2: (1,1) or (2,1,1).  Otherwise the leftover is
+    forced to (2), (2,2) or (3,1), and R fails:
+    m = 0 gives n = a+6 and A, B, 5^2,4,3^4, 6^2,3^6, 6,5,4,3^5, 5^3,3^5;
+    p1 = L, as L-p1 = min(d2+d3-8, d1+d2-10), gives A, B and 5^3,3^4,1.
+  - D < L: lower D tail vertices by one (z = L-D <= L-p1, y = 0).  If
+    D >= a+t, lower every 3 and 2 and D-a-t ones: 2^a 1^(s-2a), s-2a >= 2.
+    Else lower 3s, then 2s; all L terms stay positive, so the leftover is
+    graphic if L >= 5 and, if L <= 4 and D >= 2, it is (2,2,2), (2,1,1),
+    (3,3,2,2) or four terms with at most one 3.  Left are D = 0, head
+    (5,5,3), where the whole tail (3^a,2^t,1^m) is the leftover, and D = 1,
+    heads (5,5,4) and (6,5,3), where it is the tail lowered at one vertex.
+    R fails for the bad tails (D = 0: S and 7 fixed sequences) and for
+    (3,2), (3,3,1), (3,3,3), all of whose lowerings are bad (D = 1: 6 fixed
+    sequences).
+The tests keep the search R as a reference and check this claim on every
+shape-case sequence with n <= 16 (n <= 40 as an opt-in long test).
 
 A graphic sequence with at least 5 terms is potentially K5-C4-graphic iff
 d1 >= 4, d5 >= 2, and it is none of (4,2^5), (4,2^6), ((n-2)^2,2^(n-2)) and
 (n-k,k+i,2^i,1^(n-i-2)) for i = 3..n-2k, k = 1..floor((n-1)/2)-1.
 
 Verdicts report the first failed check in a fixed evaluation order:
-graphic, length, condition (1), count form of (2), condition (3) fixed
-list, condition (3) families, exact form (2').
+graphic, length, condition (1), condition (2), condition (3) fixed list,
+condition (3) families, condition (2').
 """
 
 from __future__ import annotations
@@ -38,7 +80,6 @@ from importlib import resources
 
 from .sequences import (
     DegreeSequence,
-    _eg_ok,
     is_graphic,
     parse_notation,
     render_notation,
@@ -131,63 +172,18 @@ def _long_tail_family_terms(n: int, threes: int) -> tuple[int, ...]:
     return (n - 1, 5) + (3,) * threes + (1,) * (n - 2 - threes)
 
 
-def _residual_embeddable(p: tuple[int, int, int], threes: int, twos: int, ones: int) -> bool:
-    """Can head demands ``p`` be met by a simple bipartite graph into a tail
-    of ``threes``/``twos``/``ones`` vertices, leaving a graphic remainder?
-
-    Each tail vertex can send at most one edge to each head vertex and at
-    most its capacity in total; the unused capacities must themselves form
-    a graphic sequence (they are realized among the tail vertices).
-    """
-    p = tuple(sorted(p, reverse=True))
-    if p[-1] < 0:
-        return False
-    cap1 = threes + twos + ones
-    cap2 = 2 * threes + 2 * twos + ones
-    cap3 = 3 * threes + 2 * twos + ones
-    demand = sum(p)
-    if p[0] > cap1 or p[0] + p[1] > cap2 or demand > cap3:
-        return False
-    slack = cap3 - demand
-    if slack >= 12:
-        # any transportation solution leaves a sum->=12 remainder with terms
-        # <= 3 and even sum, which is always graphic
-        return True
-    # small remainder: enumerate how much capacity each tail class keeps
-    for x3 in range(min(threes, slack // 3) + 1):
-        for x2 in range(min(threes - x3, (slack - 3 * x3) // 2) + 1):
-            for x1 in range(min(threes - x3 - x2, slack - 3 * x3 - 2 * x2) + 1):
-                rest3 = slack - 3 * x3 - 2 * x2 - x1
-                for y2 in range(min(twos, rest3 // 2) + 1):
-                    for y1 in range(min(twos - y2, rest3 - 2 * y2) + 1):
-                        z1 = rest3 - 2 * y2 - y1
-                        if z1 > ones:
-                            continue
-                        leftover = (3,) * x3 + (2,) * (x2 + y2) + (1,) * (x1 + y1 + z1)
-                        if not _eg_ok(leftover):
-                            continue
-                        # used capacities q = degree - leftover, by count
-                        q3 = threes - x3 - x2 - x1
-                        q2 = x1 + (twos - y2 - y1)
-                        q1 = x2 + y1 + (ones - z1)
-                        s1 = q3 + q2 + q1
-                        s2 = 2 * q3 + 2 * q2 + q1
-                        if p[0] <= s1 and p[0] + p[1] <= s2:
-                            return True
-    return False
+_SPORADIC = (5, 5, 3, 3, 3, 3, 3, 2, 1)  # S of condition (2')
 
 
-def _shape_case_potential(d: tuple[int, ...], k: int, t: int, ones: int) -> bool:
-    """Exact decision for shape-matching sequences passing condition (1):
-    try every hub pair among the first three positions."""
-    d1, d2, d3 = d[0], d[1], d[2]
-    if k < 3:
-        raise AssertionError("shape case with d6 >= 3 must have k >= 3")
-    choices = [(d1 - 5, d2 - 5, d3 - 3)]
-    if d3 >= 5:
-        choices.append((d1 - 5, d3 - 5, d2 - 3))
-        choices.append((d2 - 5, d3 - 5, d1 - 3))
-    return any(_residual_embeddable(p, k - 3, t, ones) for p in choices)
+def _residual_family(d: tuple[int, ...], n: int) -> bool:
+    """Is ``d`` in F1, F2 or S of condition (2')?  The cheap fields d2 = d3
+    and d1 fix the family and j; only a candidate builds a tuple."""
+    j = d[1]
+    if d[2] != j:
+        return d == _SPORADIC
+    if d[0] == n - 1:
+        return 5 <= j <= n - 2 and d == (n - 1, j, j) + (3,) * (j - 1) + (1,) * (n - j - 2)
+    return d[0] == j == n - 2 and d == (j, j, j) + (3,) * (n - 4) + (2,)
 
 
 def decide_k6c4(seq: DegreeSequence) -> Verdict:
@@ -224,9 +220,8 @@ def decide_k6c4(seq: DegreeSequence) -> Verdict:
             return Verdict(K6C4, "no", "COND3_FAMILY_A", n=n, matched_exception=render_notation(seq))
         if d == _long_tail_family_terms(n, 6):
             return Verdict(K6C4, "no", "COND3_FAMILY_B", n=n, matched_exception=render_notation(seq))
-    if shape is not None and shape.matches:
-        if not _shape_case_potential(d, shape.k, shape.t, shape.ones):
-            return Verdict(K6C4, "no", "COND2_RESIDUAL", n=n)
+    if _residual_family(d, n):
+        return Verdict(K6C4, "no", "COND2_RESIDUAL", n=n)
     return Verdict(K6C4, "yes", "OK", n=n)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import os
 from importlib import resources
 
 import pytest
@@ -12,10 +13,13 @@ from potseq.characterize import (
     k6c4_exceptions,
     sigma_formula_k6c4,
 )
-from potseq.sequences import DegreeSequence, parse_notation, render_notation
+from potseq.search import EmbeddingFailure, realize_with_k6c4
+from potseq.sequences import DegreeSequence, _eg_ok, parse_notation, render_notation
 
 # Guards the shipped fixture file against transcription drift.
 EXCEPTIONS_SHA256 = "7687043b56c934666ab7812229defb04c16d256bcdf23f0058cadd0d42744720"
+
+RUN_LONG = bool(os.environ.get("POTSEQ_RUN_LONG"))
 
 
 def seq(text):
@@ -87,6 +91,15 @@ def test_exception_match_index():
         ("7,5^2,3^4,1", "no", "COND2_RESIDUAL"),
         ("6^3,3^4,2", "no", "COND2_RESIDUAL"),
         ("7,5^2,3^5", "yes", "OK"),
+        # S, and F1 with 5 < j < n-2
+        ("5^2,3^5,2,1", "no", "COND2_RESIDUAL"),
+        ("9,6^2,3^5,1^2", "no", "COND2_RESIDUAL"),
+        # F2 at n=7 is in the fixed table, which is checked first
+        ("5^3,3^3,2", "no", "COND3_FIXED"),
+        # near misses of F1 and S
+        ("8,6^2,3^5,2,1", "yes", "OK"),
+        ("9,6^2,3^6,1", "yes", "OK"),
+        ("9,6^2,3^4,2^2,1", "yes", "OK"),
     ],
 )
 def test_decide_k6c4(text, decision, reason):
@@ -126,6 +139,127 @@ def test_base_case_n6_accepted_set():
         if decide_k6c4(s).is_yes:
             got.add(render_notation(s))
     assert got == expected
+
+
+# --- condition (2') against the residual search it replaced ----------------
+
+
+def _residual_embeddable(p: tuple[int, int, int], threes: int, twos: int, ones: int) -> bool:
+    """Can head demands ``p`` be met by a simple bipartite graph into a tail
+    of ``threes``/``twos``/``ones`` vertices, leaving a graphic remainder?
+
+    Each tail vertex can send at most one edge to each head vertex and at
+    most its capacity in total; the unused capacities must themselves form
+    a graphic sequence (they are realized among the tail vertices).
+    """
+    p = tuple(sorted(p, reverse=True))
+    if p[-1] < 0:
+        return False
+    cap1 = threes + twos + ones
+    cap2 = 2 * threes + 2 * twos + ones
+    cap3 = 3 * threes + 2 * twos + ones
+    demand = sum(p)
+    if p[0] > cap1 or p[0] + p[1] > cap2 or demand > cap3:
+        return False
+    slack = cap3 - demand
+    if slack >= 12:
+        # any transportation solution leaves a sum->=12 remainder with terms
+        # <= 3 and even sum, which is always graphic
+        return True
+    # small remainder: enumerate how much capacity each tail class keeps
+    for x3 in range(min(threes, slack // 3) + 1):
+        for x2 in range(min(threes - x3, (slack - 3 * x3) // 2) + 1):
+            for x1 in range(min(threes - x3 - x2, slack - 3 * x3 - 2 * x2) + 1):
+                rest3 = slack - 3 * x3 - 2 * x2 - x1
+                for y2 in range(min(twos, rest3 // 2) + 1):
+                    for y1 in range(min(twos - y2, rest3 - 2 * y2) + 1):
+                        z1 = rest3 - 2 * y2 - y1
+                        if z1 > ones:
+                            continue
+                        leftover = (3,) * x3 + (2,) * (x2 + y2) + (1,) * (x1 + y1 + z1)
+                        if not _eg_ok(leftover):
+                            continue
+                        # used capacities q = degree - leftover, by count
+                        q3 = threes - x3 - x2 - x1
+                        q2 = x1 + (twos - y2 - y1)
+                        q1 = x2 + y1 + (ones - z1)
+                        s1 = q3 + q2 + q1
+                        s2 = 2 * q3 + 2 * q2 + q1
+                        if p[0] <= s1 and p[0] + p[1] <= s2:
+                            return True
+    return False
+
+
+def reference_shape_case_potential(d: tuple[int, ...], k: int, t: int, ones: int) -> bool:
+    """Exact decision for shape-matching sequences passing condition (1):
+    try every hub pair among the first three positions."""
+    d1, d2, d3 = d[0], d[1], d[2]
+    if k < 3:
+        raise AssertionError("shape case with d6 >= 3 must have k >= 3")
+    choices = [(d1 - 5, d2 - 5, d3 - 3)]
+    if d3 >= 5:
+        choices.append((d1 - 5, d3 - 5, d2 - 3))
+        choices.append((d2 - 5, d3 - 5, d1 - 3))
+    return any(_residual_embeddable(p, k - 3, t, ones) for p in choices)
+
+
+def _shape_case_candidates(lo: int, hi: int):
+    """Every even-sum (d1,d2,d3,3^k,2^t,1^m) with lo <= n <= hi that passes
+    condition (1) and the counting bound (2), with its (k, t, m)."""
+    for n in range(lo, hi + 1):
+        for k in range(3, n - 2):
+            for t in range(n - 2 - k):
+                m = n - 3 - k - t
+                tail = (3,) * k + (2,) * t + (1,) * m
+                bound = n + 2 * k + t + 1
+                for d1 in range(5, n):
+                    for d2 in range(5, min(d1, bound - d1 - 3) + 1):
+                        # d3 >= 3 with the parity that makes the sum even
+                        start = 3 + (d1 + d2 + 3 + k + m) % 2
+                        for d3 in range(start, min(d2, bound - d1 - d2) + 1, 2):
+                            yield (d1, d2, d3) + tail, k, t, m
+
+
+def _check_closed_form_against_reference(lo: int, hi: int) -> int:
+    """decide_k6c4 says COND2_RESIDUAL iff the search rejects, on every graphic
+    candidate that the fixed table and families A/B leave; returns their count."""
+    checked = 0
+    for terms, k, t, m in _shape_case_candidates(lo, hi):
+        reason = decide_k6c4(DegreeSequence(terms)).reason
+        if reason == "NOT_GRAPHIC" or reason.startswith("COND3_"):
+            continue
+        checked += 1
+        assert reason in ("OK", "COND2_RESIDUAL"), terms
+        assert (reason == "COND2_RESIDUAL") == (not reference_shape_case_potential(terms, k, t, m)), terms
+    return checked
+
+
+def _residual_family_members(hi: int):
+    """F1, F2 (n = 7 included) and S of condition (2'), for n <= hi."""
+    for n in range(7, hi + 1):
+        for j in range(5, n - 1):
+            yield (n - 1, j, j) + (3,) * (j - 1) + (1,) * (n - j - 2)
+        yield (n - 2,) * 3 + (3,) * (n - 4) + (2,)
+    yield (5, 5, 3, 3, 3, 3, 3, 2, 1)
+
+
+def test_cond2_closed_form_matches_reference_through_n16():
+    assert _check_closed_form_against_reference(6, 16) == 26912
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=17..40 sweep")
+def test_cond2_closed_form_matches_reference_n17_to_40():
+    assert _check_closed_form_against_reference(17, 40) == 14227226
+
+
+def test_cond2_family_members_have_no_embedding():
+    # the realizer's completion engine shares no code with the residual search
+    members = list(_residual_family_members(40))
+    assert len(members) == 630
+    for terms in members:
+        with pytest.raises(EmbeddingFailure):
+            realize_with_k6c4(DegreeSequence(terms), unchecked=True)
 
 
 # --- K5-C4 decider ----------------------------------------------------------
