@@ -409,31 +409,41 @@ class RealizationCertificate:
         self.checked = True
 
 
+def _placement_class(d: Sequence[int], m: int, hubs: tuple[int, ...], pairs: tuple) -> tuple:
+    """The class key of a placement: its sorted hub residuals and its sorted
+    per-pair residual pairs."""
+    hub_key = tuple(sorted(d[h] - (m - 1) for h in hubs))
+    pair_key = tuple(sorted(tuple(sorted((d[p] - (m - 3), d[q] - (m - 3)))) for p, q in pairs))
+    return hub_key, pair_key
+
+
 def _role_assignments(d: Sequence[int], m: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """Candidate (hubs, matched pairs) placements on hosts 0..m-1, deduplicated.
 
     Two placements with equal hub residual multisets and equal multisets of
     per-pair residual pairs yield isomorphic completion problems, so only the
     first of each class is yielded.  Lazy, since the first placement
-    usually completes.
+    usually completes: its class key is built only when the generator is
+    resumed.  ``d`` is non-increasing and ``combinations`` yields ascending
+    tuples, so the last hub and the last quad vertex have the smallest
+    degrees of their roles, and only they are tested against the bounds.
     """
-    hubs_count = m - 4
-    seen = set()
-    for hubs in combinations(range(m), hubs_count):
-        if any(d[h] < m - 1 for h in hubs):
+    seen = None
+    for hubs in combinations(range(m), m - 4):
+        if d[hubs[-1]] < m - 1:
             continue
         quad = [v for v in range(m) if v not in hubs]
-        if any(d[q] < m - 3 for q in quad):
+        if d[quad[-1]] < m - 3:
             continue
         # diagonal pairing first so a zero-demand completion reproduces the
         # pattern constant exactly
         for a, b, c, e in ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)):
             pairs = ((quad[a], quad[b]), (quad[c], quad[e]))
-            hub_key = tuple(sorted(d[h] - (m - 1) for h in hubs))
-            pair_key = tuple(
-                sorted(tuple(sorted((d[p] - (m - 3), d[q] - (m - 3)))) for p, q in pairs)
-            )
-            key = (hub_key, pair_key)
+            if seen is None:
+                yield hubs, pairs
+                seen = {_placement_class(d, m, hubs, pairs)}
+                continue
+            key = _placement_class(d, m, hubs, pairs)
             if key in seen:
                 continue
             seen.add(key)

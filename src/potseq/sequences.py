@@ -6,6 +6,22 @@ decimal digits (any character for which ``str.isdecimal`` holds), ``t >= 1``,
 and whitespace (``str.isspace``) may stand around each number and the ``^``.
 Sequences are normalized to non-increasing order with zero terms stripped
 (and counted), so every stored term is positive.
+
+:func:`parse_notation` has two routes, and the literal alone picks one.  A
+literal with no ``^``, ``+``, ``-`` or ``_`` and at most ``MAX_TERMS`` items
+is read by ``int()`` on every comma item in one C-level pass.  Every other
+literal, and every literal that pass refuses, goes through a per-item loop
+that checks the grammar and names the first bad item.  The first route is
+exact.  On a ``str``, ``int()`` accepts optional whitespace, an optional
+sign, a run of ``str.isdecimal`` digits that single underscores may split,
+and optional whitespace, and nothing else; its whitespace is ``str.isspace``
+less the ASCII separators U+001C to U+001F, which it refuses.  So with no
+sign or underscore in the literal, every item ``int()`` accepts is a plain
+item of the grammar, and it returns the item's value.  Whatever it refuses,
+a malformed item or one with more digits than the interpreter converts,
+raises ``ValueError`` and the literal falls through to the loop; so both
+routes give the same sequence, and every error and its token come from the
+loop.
 """
 
 from __future__ import annotations
@@ -145,14 +161,26 @@ def parse_notation(text: str) -> DegreeSequence:
     """Parse exponent notation (``"5^2,4^6"``) into a normalized sequence.
 
     Each comma item is ``r`` or ``r^t``, with optional whitespace around each
-    number and the ``^`` (see the module docstring).  The first bad item is
-    reported, checked in this order: malformed, number too long for
-    ``int()``, repeat count below 1, and a running total of more than
-    ``MAX_TERMS`` terms.
+    number and the ``^`` (see the module docstring).  A literal with no
+    ``^``, ``+``, ``-`` or ``_`` and at most ``MAX_TERMS`` items is read by
+    ``int()`` on every item at once: with sign and underscore absent,
+    ``int()`` accepts only plain items of the grammar and gives their
+    values, and a ``ValueError`` sends the literal on to the per-item loop.
+    The loop reads every other literal and reports the first bad item,
+    checked in this order: malformed, number too long for ``int()``, repeat
+    count below 1, and a running total of more than ``MAX_TERMS`` terms.
     """
     if text is None or not text.strip():
         raise NotationError(text or "", "empty sequence literal")
-    values: list[int] = []
+    plain = not ("^" in text or "+" in text or "-" in text or "_" in text)
+    if plain and text.count(",") < MAX_TERMS:
+        try:
+            values = list(map(int, text.split(",")))
+        except ValueError:  # some item is not plain; the loop names it
+            pass
+        else:
+            return DegreeSequence.of(values)
+    values = []
     for item in text.split(","):
         head, caret, tail = item.partition("^")
         head = head.strip()

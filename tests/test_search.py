@@ -311,6 +311,41 @@ def test_completion_engine_matches_reference_on_placements(monkeypatch):
     assert len(problems) > 500 and False in problems
 
 
+def reference_role_assignments(d, m):
+    """The placement generator before its class keys were made lazy: every
+    hub and quad vertex is tested, and every key is built before its yield."""
+    hubs_count = m - 4
+    seen = set()
+    for hubs in itertools.combinations(range(m), hubs_count):
+        if any(d[h] < m - 1 for h in hubs):
+            continue
+        quad = [v for v in range(m) if v not in hubs]
+        if any(d[q] < m - 3 for q in quad):
+            continue
+        for a, b, c, e in ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)):
+            pairs = ((quad[a], quad[b]), (quad[c], quad[e]))
+            hub_key = tuple(sorted(d[h] - (m - 1) for h in hubs))
+            pair_key = tuple(
+                sorted(tuple(sorted((d[p] - (m - 3), d[q] - (m - 3)))) for p, q in pairs)
+            )
+            key = (hub_key, pair_key)
+            if key in seen:
+                continue
+            seen.add(key)
+            yield hubs, pairs
+
+
+def test_role_assignments_keep_placement_order():
+    # every non-increasing top tuple with values 1..10, then three 1s
+    cases = 0
+    for m in (5, 6):
+        for top in itertools.combinations_with_replacement(range(10, 0, -1), m):
+            d = top + (1, 1, 1)
+            assert list(search._role_assignments(d, m)) == list(reference_role_assignments(d, m)), d
+            cases += 1
+    assert cases == 7007
+
+
 # --- oracle -----------------------------------------------------------------
 
 

@@ -89,12 +89,31 @@ def test_parse_refuses_literals_over_max_terms():
         with pytest.raises(NotationError):
             parse_notation(text)
     assert parse_notation(f"1^{MAX_TERMS}").n == MAX_TERMS
+    # a plain list of MAX_TERMS items is read whole; one more item goes to
+    # the per-item loop, which names it
+    plain = ",".join(["1"] * MAX_TERMS)
+    assert parse_notation(plain).n == MAX_TERMS
+    with pytest.raises(NotationError, match=f"more than {MAX_TERMS} terms") as exc:
+        parse_notation(plain + ",1")
+    assert exc.value.token == "1"
 
 
-def test_parse_error_names_token():
+@pytest.mark.parametrize(
+    "text,token,message",
+    [
+        pytest.param("5,x7,3", "x7", "malformed item", id="x7"),
+        # the bad item late in a plain list
+        pytest.param("5,4,+3", "+3", "malformed item", id="late-sign"),
+        pytest.param("5,4,3 3", "3 3", "malformed item", id="late-inner-space"),
+        pytest.param("5,,4", "", "malformed item", id="late-empty"),
+        pytest.param("1," + "9" * 5000, "9" * 5000, "number too long", id="late-too-long"),
+    ],
+)
+def test_parse_error_names_token(text, token, message):
     with pytest.raises(NotationError) as exc:
-        parse_notation("5,x7,3")
-    assert exc.value.token == "x7"
+        parse_notation(text)
+    assert exc.value.token == token
+    assert str(exc.value).startswith(message + ": ")
 
 
 @pytest.mark.parametrize(
@@ -169,6 +188,13 @@ LITERAL_ALPHABET = "0123456789\u0663\U0001d7d9\u00b2,,^^  \t\n\x0b\x1c\xa0\u3000
 @given(st.text(alphabet=LITERAL_ALPHABET, max_size=24))
 @settings(max_examples=500, deadline=None)  # a count may expand to ~10**6 terms
 def test_parse_matches_reference_regex(text):
+    assert outcome(parsed, text) == outcome(reference_parse, text)
+
+
+# Without ^, long literals: the int() route sees lists of many items.
+@given(st.text(alphabet=LITERAL_ALPHABET.replace("^", ""), max_size=60))
+@settings(max_examples=500, deadline=None)
+def test_parse_plain_lists_match_reference_regex(text):
     assert outcome(parsed, text) == outcome(reference_parse, text)
 
 
