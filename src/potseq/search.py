@@ -19,6 +19,27 @@ isomorphic to one in the pruned tree, and the oracle's containment test does
 not change under isomorphism.  The first success in the pruned tree is the
 first in the full tree, so certificates are the same as without pruning.
 
+A node whose first four neighbor sets fail the check does not test the
+sets after them one by one: ``_first_passing`` computes the first later set
+that passes.  It rests on one lemma: if laying ``u`` off onto a set S passes,
+so does laying it off onto any S' whose residuals are at least as large,
+member for member.  Passing depends only on the residuals a set takes,
+and a chain of swaps leads from those of S to those of S', each trading an
+a in S for a b outside it with res(b) > res(a); so one swap is enough.  It
+moves one unit from the term res(b) of the laid-off sequence to its
+smaller term res(a) - 1.  In a realization of that sequence b has degree
+at least deg(a) + 2, so it has a neighbor w outside N[a]; replacing the
+edge bw by aw realizes the sequence laid off onto S - a + b.  The sets the
+search expands do not change.  Every set up to the fourth fails: the sets
+the scan skipped take a twin without its earlier twins, and swapping twins
+back leads to one it tested, with the same residuals.  So the leap
+lands on the first passing set in lexicographic order, and the scan would
+accept that set first: it takes no twin without its earlier twins, since
+the twin swap would give an earlier set with the same residuals, which
+would pass.  The node's iterator then resumes after the landing set, so a
+later backtrack (after a dead end, or in the oracle's exhaustive *no*
+search) scans on exactly as before.
+
 The oracle, ``oracle_decide``, answers *no* when the sorted terms do not
 dominate the pattern's sorted degrees; decider/oracle agreement on the
 deciders' condition (1) therefore holds by construction, and the brute-force
@@ -46,7 +67,7 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, compress
+from itertools import combinations, combinations_with_replacement, compress, dropwhile
 from typing import Callable, Iterator, Sequence
 
 from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
@@ -188,10 +209,18 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
     vertex adds a zero term, which changes no inequality.
 
     Each saturated vertex has a frame on an explicit stack: ``[u, r,
-    cands, combinations iterator, twin map, set applied]``.  The first set
-    never takes a twin without its earlier twins, so it is tried as the
-    node opens, and the twin map (None until then) is only built once it
-    has failed.
+    cands, combinations iterator, twin map, set applied, sets failed]``,
+    the last None once a set of the node has passed.  The first set never
+    takes a twin without its earlier twins, so it is tried as the node
+    opens, and the twin map (None until then) is only built once it has
+    failed.  The next sets are tried in turn; when the first four have
+    failed, the node leaps to the first set that passes
+    (``_first_passing``) without testing the sets in between, and the
+    frame's iterator is advanced past it, so a later backtrack resumes the
+    scan where it would have stood.  A short run of failing sets is
+    cheaper to scan than to leap over, so the leap waits for the fourth
+    failure.  The module docstring proves the lemma the leap rests on, and
+    that the leap expands the same sets as the scan.
     """
     if sum(demand) % 2:
         return None
@@ -202,7 +231,9 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
     residual = list(demand)
     stack: list[list] = []
     while True:
-        # open a node on the current graph and take its first neighbor set
+        # open a node on the current graph and take its first neighbor set;
+        # ``passed``: the set is known to pass the check
+        passed = False
         combo = None
         r = max(residual, default=0)
         if r == 0:
@@ -218,7 +249,7 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
             if r <= len(cands):
                 residual[u] = 0
                 combos = combinations(cands, r)
-                frame = [u, r, cands, combos, None, ()]
+                frame = [u, r, cands, combos, None, (), 0]
                 stack.append(frame)
                 combo = next(combos)
         while True:
@@ -227,7 +258,7 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
                 if not stack:
                     return None
                 frame = stack[-1]
-                u, r, cands, combos, twin_before, applied = frame
+                u, r, cands, combos, twin_before, applied, _ = frame
                 # u had no edge to any candidate, so XOR clears just the step's
                 bit = 1 << u
                 for v in applied:
@@ -246,13 +277,25 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
             # on the live terms: zeros change no inequality.  Exact when
             # unsaturated vertices are pairwise non-adjacent (empty base);
             # otherwise it ignores base pairs and is merely necessary
-            if not _eg_ok(sorted(filter(None, residual), reverse=True)):
+            if not (passed or _eg_ok(sorted(filter(None, residual), reverse=True))):
                 for v in combo:
                     residual[v] += 1
                 frame[5] = ()
-                combo = None
+                failed = frame[6]
+                if failed is not None:
+                    failed = frame[6] = failed + 1
+                if failed == 4:
+                    # the node's first four sets failed, so every set up
+                    # to this one fails: leap to the first that passes
+                    frame[6] = None
+                    combo = _first_passing(residual, cands, r, combo)
+                    passed = combo is not None
+                    frame[3] = dropwhile(combo.__ge__, combos) if passed else iter(())
+                else:
+                    combo = None
                 continue
             frame[5] = combo
+            frame[6] = None
             bit = 1 << u
             nb = adj[u]
             for v in combo:
@@ -289,6 +332,72 @@ def _next_set(combos: Iterator[tuple[int, ...]], twin_before: list[int]) -> tupl
         else:
             return combo
     return None
+
+
+def _first_passing(residual: list[int], cands: list[int], r: int, after: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The first set of ``r`` candidates after ``after``, in the order of
+    ``combinations(cands, r)``, whose lay-off passes the Erdos-Gallai check,
+    or None; ``after`` and every set before it must fail.
+
+    Passing depends only on the residuals a set takes, and by the lemma in
+    the module docstring it is monotone in them.  So a prefix has a passing
+    extension if and only if its best extension, by the largest residuals
+    at later positions, passes.  The sets after ``after`` that keep its
+    first j members come before those that keep fewer, so j is tried from
+    r - 1 down: the first j with a candidate after ``after``'s j-th member
+    whose best extension passes keeps that candidate, and the later slots
+    are filled in order, each with the first candidate that still has a
+    passing extension.  At a slot, a candidate whose residual is no larger
+    than one that failed there is dominated and skipped, and so is every
+    candidate after one that fails while holding the largest residual
+    left.  Once a passing extension is known to exist, a candidate holding
+    the largest residual left needs no test: the slot's passing extensions
+    all start at or after it.
+    """
+    k = len(cands)
+    vals = [residual[v] for v in cands]
+
+    def passes(chosen: list[int], start: int) -> bool:
+        # the positions ``chosen`` with the largest residuals from ``start`` on
+        if len(chosen) < r:
+            chosen += sorted(range(start, k), key=vals.__getitem__, reverse=True)[: r - len(chosen)]
+        for p in chosen:
+            residual[cands[p]] -= 1
+        ok = _eg_ok(sorted(filter(None, residual), reverse=True))
+        for p in chosen:
+            residual[cands[p]] += 1
+        return ok
+
+    def first(prefix: list[int], lo: int, failed: int, sure: bool) -> int | None:
+        # the first candidate from position lo on to follow ``prefix`` with a
+        # passing extension, or None; ``sure``: such a candidate exists
+        for q in range(lo, k - r + len(prefix) + 1):
+            x = vals[q]
+            if x <= failed:
+                continue
+            top = max(vals[q:])  # the slot's largest residual left
+            if sure and top == x or passes(prefix + [q], q + 1):
+                return q
+            if top == x:  # every later candidate is dominated
+                return None
+            failed = x
+        return None
+
+    # every set keeping t[:j+1] fails, so only a residual larger than t[j]'s
+    # can take slot j
+    t = [cands.index(v) for v in after]
+    for j in range(r - 1, -1, -1):
+        q = first(t[:j], t[j] + 1, vals[t[j]], False)
+        if q is not None:
+            break
+    else:
+        return None
+    prefix = t[:j] + [q]
+    while len(prefix) < r:
+        prefix.append(first(prefix, prefix[-1] + 1, -1, True))
+    # from a list: a tuple built from a generator is resized, and freed
+    # into a free list it never takes from, which keeps growing
+    return tuple([cands[p] for p in prefix])
 
 
 def _oracle_pre(seq: DegreeSequence, target: Target, bound: int | None) -> bool:

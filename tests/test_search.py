@@ -43,6 +43,9 @@ from potseq.search import (
 from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation
 
 
+RUN_LONG = bool(os.environ.get("POTSEQ_RUN_LONG"))
+
+
 def seq(text):
     return parse_notation(text)
 
@@ -309,6 +312,182 @@ def test_completion_engine_matches_reference_on_placements(monkeypatch):
             if s.n >= m:
                 search._place_km_c4(s.terms, m)
     assert len(problems) > 500 and False in problems
+
+
+class OverBudget(Exception):
+    pass
+
+
+def dense_placements_match_reference(monkeypatch, seed, sizes, count):
+    # the realizer's placements on dense seeded G(n,p) sequences, whose nodes
+    # leap over long runs of failing neighbor sets, against the scan.  A
+    # completion problem gets at most 10,000 Erdos-Gallai checks; the
+    # placements that run over are returned, unchecked
+    engine = search._complete
+    problems, over = [], []
+    checks = [0]
+
+    def counted(terms):
+        checks[0] += 1
+        if checks[0] > 10_000:
+            raise OverBudget
+        return _eg_ok(terms)
+
+    def both(demand, base, accept):
+        checks[0] = 0
+        got = engine(demand, base, accept)
+        assert got == reference_complete(demand, base, accept), (list(demand), list(base))
+        problems.append(got)
+        return got
+
+    monkeypatch.setattr(search, "_eg_ok", counted)
+    monkeypatch.setattr(search, "_complete", both)
+    rng = random.Random(seed)
+    for i in range(count):
+        s = DegreeSequence.of(gnp_degrees(rng, sizes[i % len(sizes)], rng.uniform(0.5, 0.7)))
+        for m in (6, 5):
+            try:
+                search._place_km_c4(s.terms, m)
+            except OverBudget:
+                over.append((render_notation(s), m))
+    return problems, over
+
+
+def test_completion_engine_matches_reference_on_dense_placements(monkeypatch):
+    problems, over = dense_placements_match_reference(monkeypatch, 20, range(20, 33), 130)
+    assert len(problems) == 260 and None not in problems and over == []
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=33..40 sweep")
+def test_completion_engine_matches_reference_on_dense_placements_n33_to_40(monkeypatch):
+    problems, over = dense_placements_match_reference(monkeypatch, 33, range(33, 41), 16000)
+    assert len(problems) == 31997 and None not in problems
+    # known slow K6-C4 placements: dead ends make the search backtrack
+    # through far more nodes than a leap can skip (ROADMAP item 5)
+    assert over == [
+        ("29,27,25^4,24^3,22^4,21^5,20^4,19^6,18^3,17^6,16^2,15", 6),
+        ("26,25,24,23^3,22^4,21,20^2,19^6,18^2,17^7,16^6,15,14,13", 6),
+        ("29,27^2,26^3,25^4,23,22^5,21,20^7,19^4,18^8,17^3,16", 6),
+    ]
+
+
+def lays_off(residual, combo):
+    # whether laying a vertex off onto ``combo`` leaves live residuals that
+    # pass the Erdos-Gallai check
+    after = list(residual)
+    for v in combo:
+        after[v] -= 1
+    return _eg_ok(sorted(filter(None, after), reverse=True))
+
+
+def test_laying_off_onto_larger_residuals_keeps_passing():
+    # the lemma behind _first_passing, on every non-increasing state with
+    # n <= 7 (the check sees the residuals alone, not their order): a set
+    # whose residuals dominate, member for member, those of a passing set
+    # passes too
+    pairs = 0
+    for n in range(2, 8):
+        for residual in itertools.combinations_with_replacement(range(n - 1, -1, -1), n):
+            r, residual = residual[0], [0, *residual[1:]]
+            cands = [v for v in range(n) if residual[v]]
+            sets = [(c, lays_off(residual, c)) for c in itertools.combinations(cands, r)]
+            for small, ok in sets:
+                if not ok:
+                    continue
+                low = sorted(residual[v] for v in small)
+                for big, big_ok in sets:
+                    if all(x <= y for x, y in zip(low, sorted(residual[v] for v in big))):
+                        assert big_ok, (residual, small, big)
+                        pairs += 1
+    assert pairs == 14206
+
+
+def test_first_passing_matches_lex_scan():
+    # seeded node states (u the first maximum, a random tenth of the
+    # candidates cut off as base neighbors); from a set of the run of
+    # failing sets that opens the node, the leap lands on the first later
+    # set that passes, as a scan of combinations finds it
+    rng = random.Random(12)
+    states = leaps = 0
+    while states < 4000:
+        n = rng.randint(2, 12)
+        # G(n,p) degrees, half of them in ascending order, so that the
+        # first sets take the smallest residuals and the leaps are long
+        residual = gnp_degrees(rng, n, rng.uniform(0.2, 0.9))
+        if rng.random() < 0.5:
+            residual.sort()
+        r = max(residual)
+        u = residual.index(r)
+        residual[u] = 0
+        cands = [v for v in range(n) if residual[v] and rng.random() >= 0.1]
+        if not 0 < r <= len(cands):
+            continue
+        combos = list(itertools.combinations(cands, r))
+        first = next((i for i, c in enumerate(combos) if lays_off(residual, c)), None)
+        if first == 0:
+            continue
+        states += 1
+        expected = None if first is None else combos[first]
+        for start in {0, rng.randrange(first or len(combos))}:
+            before = list(residual)
+            assert search._first_passing(residual, cands, r, combos[start]) == expected, (residual, cands, combos[start])
+            assert residual == before
+            leaps += first is not None and first > start + 1
+    assert leaps > 1000
+
+
+def test_nodes_leap_only_from_a_run_of_failing_sets(monkeypatch):
+    # a node leaps when its first two sets fail the check, never when its
+    # first set led to a dead end: on random completion problems with dead
+    # ends, every set up to the one a leap starts after fails
+    leap = search._first_passing
+    leaps = []
+
+    def checked(residual, cands, r, after):
+        assert not any(lays_off(residual, c) for c in itertools.takewhile(after.__ge__, itertools.combinations(cands, r)))
+        leaps.append(after)
+        return leap(residual, cands, r, after)
+
+    monkeypatch.setattr(search, "_first_passing", checked)
+    rng = random.Random(14)
+    for _ in range(3000):
+        n = rng.randint(4, 12)
+        p = rng.random() * 0.7
+        base = [0] * n
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                base[u] |= 1 << v
+                base[v] |= 1 << u
+        demand = [rng.randint(0, 5) for _ in range(n)]
+        assert _complete(demand, base, None) == reference_complete(demand, base, None), (base, demand)
+    assert len(leaps) > 40
+
+
+def test_dense_placements_leap_in_few_checks(monkeypatch):
+    # Erdos-Gallai checks of the realizer's placements on the four slowest
+    # seed-1 realize-stream problems and a dense n = 56 sequence; a scan
+    # that tests failing sets one by one makes 1,208 checks on the four and
+    # about 40,000 per target on the n = 56 one
+    calls = []
+
+    def counted(terms):
+        calls.append(1)
+        return _eg_ok(terms)
+
+    monkeypatch.setattr(search, "_eg_ok", counted)
+    for text in ("14^2,13^3,12,11^4,10^3,9^10,8^2,7", "16,14^2,13^6,12^2,11^2,10^7,9^3,8,7,6"):
+        for m in (6, 5):
+            assert search._place_km_c4(seq(text).terms, m) is not None
+    assert len(calls) <= 250
+    s = seq("30,26,25^5,24^5,23^8,22^9,21^3,20^7,19^5,18^2,17^7,16,15^2")
+    for realize in (realize_with_k6c4, realize_with_k5c4):
+        del calls[:]
+        cert = realize(s)
+        assert len(calls) <= 400
+        cert.checked = False
+        cert.revalidate(s)
+        assert cert.checked
 
 
 def reference_role_assignments(d, m):
