@@ -135,6 +135,15 @@ class TargetPattern:
             deg[v] += 1
         return tuple(sorted(deg, reverse=True))
 
+    @cached_property
+    def degree_levels(self) -> tuple[tuple[int, int], ...]:
+        """Per distinct pattern degree d, largest first: d and the number of
+        pattern vertices of degree at least d.  A multiset of host caps
+        dominates ``degree_multiset`` term by term iff, at every level, at
+        least that many caps reach d."""
+        degrees = self.degree_multiset
+        return tuple((d, sum(x >= d for x in degrees)) for d in sorted(set(degrees), reverse=True))
+
     def as_graph(self) -> Graph:
         return Graph.from_edges(self.vertex_count, self.edges)
 
@@ -292,38 +301,44 @@ def _orbit_anchors(pattern: TargetPattern) -> tuple[tuple[tuple[int, tuple[int, 
         steps = _embedding_steps(pattern, x)
         plans.append(steps)
         for y in range(x, p):
-            if unplaced >> y & 1 and _embed(padj, steps, [y] + [-1] * (p - 1), 1, full ^ 1 << y):
+            if unplaced >> y & 1 and _embed(padj, None, steps, [y] + [-1] * (p - 1), 1, full ^ 1 << y):
                 unplaced ^= 1 << y
     return tuple(plans)
 
 
-def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern, through: int = -1) -> bool:
-    """Whether the graph contains ``pattern``; with ``through`` >= 0, only
-    copies that contain that vertex are looked for, by mapping each orbit
-    representative of the pattern to it in turn."""
+def _contains_pattern_adj(
+    adj: Sequence[int], n: int, pattern: TargetPattern, through: int = -1, caps: Sequence[int] | None = None
+) -> bool:
+    """Whether the graph contains ``pattern`` with every pattern vertex on a
+    host whose cap, ``caps[v]`` (default: its degree), is at least its
+    pattern degree; with ``through`` >= 0, only copies that contain that
+    vertex are looked for, by mapping each orbit representative of the
+    pattern to it in turn."""
     if pattern.vertex_count > n:
         return False
     full = (1 << n) - 1
     if through < 0:
         steps = _embedding_steps(pattern)
-        return _embed(adj, steps, [-1] * len(steps), 0, full)
+        return _embed(adj, caps, steps, [-1] * len(steps), 0, full)
     for steps in _orbit_anchors(pattern):
-        if adj[through].bit_count() >= steps[0][0]:
+        if (adj[through].bit_count() if caps is None else caps[through]) >= steps[0][0]:
             assign = [through] + [-1] * (len(steps) - 1)
-            if _embed(adj, steps, assign, 1, full ^ 1 << through):
+            if _embed(adj, caps, steps, assign, 1, full ^ 1 << through):
                 return True
     return False
 
 
 def _embed(
     adj: Sequence[int],
+    caps: Sequence[int] | None,
     steps: tuple[tuple[int, tuple[int, ...]], ...],
     assign: list[int],
     idx: int,
     free: int,
 ) -> bool:
     """Map steps ``idx``.. onto the host vertices in the bitmask ``free``,
-    given the hosts ``assign[:idx]`` of the earlier steps."""
+    given the hosts ``assign[:idx]`` of the earlier steps; a step's host
+    must have a cap of at least its pattern degree."""
     if idx == len(steps):
         return True
     need, back = steps[idx]
@@ -334,9 +349,9 @@ def _embed(
         low = cands & -cands
         cands ^= low
         v = low.bit_length() - 1
-        if adj[v].bit_count() >= need:
+        if (adj[v].bit_count() if caps is None else caps[v]) >= need:
             assign[idx] = v
-            if _embed(adj, steps, assign, idx + 1, free ^ low):
+            if _embed(adj, caps, steps, assign, idx + 1, free ^ low):
                 return True
     return False
 

@@ -59,6 +59,28 @@ the K6-C4 oracle takes its hubs from N[u], and the generic one maps each
 automorphism orbit of the pattern to ``u`` in turn.  The engine keeps its
 frames on an explicit stack, so Python's recursion limit does not bound
 the length of a sequence.
+
+The oracle's search also cuts the steps below which no partial graph can
+hold the pattern.  Call a vertex unsaturated while its residual is
+non-zero.  The bound graph G+ of a node is its graph plus every pair of
+unsaturated vertices, and each vertex ``v`` gets the cap ``demand[v]``,
+its degree in every completion.  Lemma: every partial graph H below the
+node is a subgraph of G+, with deg_H(v) <= demand[v].  Proof: a vertex
+saturated at the node stays saturated below it, and a step joins its
+vertex u, unsaturated until then, to unsaturated candidates; so every edge
+added below the node joins two vertices that are unsaturated at the node,
+and lies in G+.  The base is empty, so no degree passes its demand.  Hence
+if H contains the pattern, the pattern embeds in G+ with every pattern
+vertex on a host whose cap is at least its pattern degree.  After a step
+on which ``accept`` fails, the search looks for such an embedding
+(``_bound_test``, through ``graphs._embed`` with the caps as data, for any
+registered pattern); when there is none, ``accept``, which holds exactly
+on the graphs that contain the pattern, fails on every partial graph
+below, and the step is undone like a dead end.  The cut subtrees hold no
+success, so the first success is the same as without the cut, and so are
+the oracle's answers and realizations.  Skipping the test is always safe:
+the ways in which it is skipped, or passes without a search, are in
+``_bound_test``'s docstring.
 """
 
 from __future__ import annotations
@@ -78,7 +100,6 @@ from .graphs import (
     TargetPattern,
     _contains_pattern_adj,
     _find_km_minus_c4_adj,
-    degree_sequence_of,
 )
 from .sequences import DegreeSequence, _eg_ok, is_graphic, render_notation
 
@@ -179,7 +200,9 @@ def realize_graphic(seq: DegreeSequence) -> Graph:
 _Accept = Callable[[list[int], int], bool]
 
 
-def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None) -> list[int] | None:
+def _complete(
+    demand: Sequence[int], base: Sequence[int], accept: _Accept | None, pattern: TargetPattern | None = None
+) -> list[int] | None:
     """Add edges to the graph ``base`` (adjacency bitmasks) until every
     vertex ``v`` has gained ``demand[v]`` new neighbors.
 
@@ -189,6 +212,15 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
     satisfies it.  ``accept`` must be monotone under edge addition and
     invariant under isomorphism, and ``base`` must be empty: only then does
     the Erdos-Gallai check prove that a partial graph can be completed.
+
+    With ``pattern`` given, ``accept`` must hold exactly on the graphs that
+    contain it.  A step on which ``accept`` fails is then cut, undone like
+    a dead end, when no copy of the pattern fits the bound graph
+    (``_bound_test``; the lemma and its proof are in the module
+    docstring).  A step that joins ``u`` to every unsaturated vertex leaves
+    the bound graph as it was, so it is not tested.  A cut clears the mark
+    that a leap's landing set passed, so the node's next set is checked
+    again.  The realizer passes no pattern and never builds the test.
 
     ``accept(adj, u)`` is called once on the base with ``u = -1``, a full
     test, and then after each step that saturates ``u`` by adding the
@@ -229,6 +261,7 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
         return adj
     n = len(adj)
     residual = list(demand)
+    holds = None if pattern is None else _bound_test(demand, pattern)
     stack: list[list] = []
     while True:
         # open a node on the current graph and take its first neighbor set;
@@ -302,9 +335,83 @@ def _complete(demand: Sequence[int], base: Sequence[int], accept: _Accept | None
                 nb |= 1 << v
                 adj[v] |= bit
             adj[u] = nb
-            if accept is not None and accept(adj, u):
-                return adj
+            if accept is not None:
+                if accept(adj, u):
+                    return adj
+                if holds is not None and r < len(cands) and not holds(adj, residual, u):
+                    # cut: undo the step like a dead end, and check the
+                    # next set even if this one was a leap's landing set
+                    combo = None
+                    passed = False
+                    continue
             break
+
+
+def _bound_test(demand: Sequence[int], pattern: TargetPattern) -> Callable[[list[int], list[int], int], bool]:
+    """The oracle search's cut test ``holds(adj, residual, u)``, for a step
+    that has just saturated ``u``: False only when the pattern has no
+    embedding in the bound graph G+ (``adj`` plus every pair of unsaturated
+    vertices) with each pattern vertex on a host whose cap ``demand[v]`` is
+    at least its pattern degree.  The module docstring proves that no
+    partial graph below such a step holds the pattern.
+
+    The test passes without a search in three cases.  After a step on a
+    vertex whose cap is below the pattern's largest degree: the cuts come
+    from saturating the vertices that can take the pattern's top degree,
+    and the small *no* searches, which seldom cut, pay for every test.
+    When the residuals ask for exactly a clique on the k unsaturated
+    vertices (k - 1 each, a leaf when k = 0): the one completion left is
+    G+ itself, and the steps below test it.  And when a clique of G+ has
+    caps that dominate the pattern's degrees: the saturated vertices whose
+    caps reach the pattern's least degree, taken greedily, each joined to
+    those taken before, plus the unsaturated ones with such caps joined to
+    all of them.  The masks it needs are built on its first call, which
+    many searches never make.
+    """
+    n = len(demand)
+    top = pattern.degree_multiset[0]
+    bits: list[int] = []
+    levels: list[tuple[int, int]] = []
+
+    def holds(adj: list[int], residual: list[int], u: int) -> bool:
+        if demand[u] < top:
+            return True
+        if not bits:
+            bits.extend([1 << v for v in range(n)])
+            # per level of the pattern's degrees: the hosts whose caps reach it
+            for d, count in pattern.degree_levels:
+                mask = 0
+                for b, x in zip(bits, demand):
+                    if x >= d:
+                        mask |= b
+                levels.append((mask, count))
+        unsat = sum(compress(bits, residual))
+        k = unsat.bit_count()
+        if sum(residual) == k * (k - 1):
+            return True
+        able = levels[-1][0]
+        pool = unsat & able
+        rest = able & ~unsat
+        clique = 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nb = adj[low.bit_length() - 1]
+            if nb & clique == clique:
+                clique |= low
+                pool &= nb
+        clique |= pool
+        for mask, count in levels:
+            if (clique & mask).bit_count() < count:
+                break
+        else:
+            return True
+        plus = list(adj)
+        for v in compress(range(n), residual):
+            plus[v] |= unsat ^ bits[v]
+        return _contains_pattern_adj(plus, n, pattern, caps=demand)
+
+    return holds
 
 
 def _twin_before(adj: list[int], residual: list[int], cands: list[int]) -> list[int]:
@@ -442,7 +549,7 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int | None = None)
         adj = found[0]
         if all(a.bit_count() == x for a, x in zip(adj, seq.terms)) and target.accept(adj, -1):
             return True
-    return _complete(seq.terms, [0] * seq.n, target.accept) is not None
+    return _complete(seq.terms, [0] * seq.n, target.accept, target.pattern) is not None
 
 
 def oracle_decide_k6c4(seq: DegreeSequence, bound: int | None = None) -> bool:
@@ -461,7 +568,7 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Gr
     target = TARGETS["k6-c4"]
     if not _oracle_pre(seq, target, bound):
         return None
-    adj = _complete(seq.terms, [0] * seq.n, target.accept)
+    adj = _complete(seq.terms, [0] * seq.n, target.accept, target.pattern)
     if adj is None:
         return None
     residual = [d - a.bit_count() for d, a in zip(seq.terms, adj)]
@@ -500,21 +607,34 @@ class RealizationCertificate:
         """Check degrees and the stated embedding; sets ``checked``.
 
         The role edges are checked by masks; only when one is missing does
-        the edge-by-edge scan run, to name the first missing edge."""
-        if degree_sequence_of(self.graph).terms != seq.terms:
-            raise EmbeddingFailure("certificate degrees do not match the sequence")
+        the edge-by-edge scan run, to name the first missing edge.  A role
+        vertex outside 0..n-1 makes its role edges missing.  Then the roles
+        must be m = len(hubs) + 4 distinct hosts, split into the hubs and
+        two disjoint pairs that cover the rest: only then do the role edges
+        form K_m - C4."""
+        n = self.graph.n
         adj = self.graph.adj
-        try:
-            hosts = sum(1 << x for x in set(self.hosts))
-            found = all((adj[h] | 1 << h) & hosts == hosts for h in self.hubs) and all(
+        # the positive degrees, sorted: the terms of the graph's DegreeSequence
+        if tuple(sorted(filter(None, map(int.bit_count, adj)), reverse=True)) != seq.terms:
+            raise EmbeddingFailure("certificate degrees do not match the sequence")
+        hosts = set(self.hosts)
+        roles = set(self.hubs).union(*self.pairs)
+        m = len(self.hubs) + 4
+        split = sum(map(len, self.pairs)) == 4 and len(roles) == m == len(self.hosts) and roles == hosts
+        found = split and min(hosts) >= 0 and max(hosts) < n
+        if found:
+            mask = sum(1 << x for x in hosts)
+            found = all((adj[h] | 1 << h) & mask == mask for h in self.hubs) and all(
                 adj[a] >> b & 1 for a, b in self.pairs
             )
-        except (IndexError, ValueError):  # a role vertex outside the graph
-            found = False
         if not found:
             for u, v in self.role_edges():
-                if not self.graph.has_edge(u, v):
+                if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
                     raise EmbeddingFailure(f"certificate is missing role edge ({u},{v})")
+            if not split:
+                raise EmbeddingFailure(
+                    f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
+                )
         self.checked = True
 
 

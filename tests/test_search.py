@@ -153,6 +153,9 @@ def test_certificates_are_byte_stable_large_n():
     assert digest.hexdigest() == "a61ee524f633827a38fe2d67d80dcd4d79d83133f744147f6d4851fa63324549"
 
 
+ROLES_MESSAGE = "certificate roles are not 6 distinct hosts split into hubs and two disjoint pairs"
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -160,10 +163,21 @@ def test_certificates_are_byte_stable_large_n():
         ({"hubs": (0, 2)}, "certificate is missing role edge (2,3)"),
         ({"hubs": (0, 9)}, "certificate is missing role edge (0,9)"),
         ({"graph": complete_graph(6)}, "certificate degrees do not match the sequence"),
+        # on the certificate of 5^6, K6, every role edge is present: a role
+        # vertex out of range must not wrap around to vertex 5, and the roles
+        # must form K6 - C4
+        ({"sequence": "5^6", "pairs": ((2, 4), (3, -1))}, "certificate is missing role edge (-1,3)"),
+        ({"sequence": "5^6", "hubs": (0, 1, -1)}, "certificate is missing role edge (-1,0)"),
+        ({"sequence": "5^6", "hosts": (0, 1, 2, 3, 4, 6)}, "certificate is missing role edge (0,6)"),
+        ({"sequence": "5^6", "hubs": (0, 0)}, ROLES_MESSAGE),
+        ({"sequence": "5^6", "pairs": ((1, 4), (3, 5))}, ROLES_MESSAGE),
+        ({"sequence": "5^6", "hosts": (0, 1, 2, 3), "pairs": ((2, 3), (2, 3))}, ROLES_MESSAGE),
+        ({"sequence": "5^6", "hosts": (0, 1, 2, 3, 4, 5, 5)}, ROLES_MESSAGE),
     ],
 )
 def test_revalidate_names_the_first_missing_edge(change, message):
-    s = seq("5^2,3^4")
+    change = dict(change)
+    s = seq(change.pop("sequence", "5^2,3^4"))
     cert = dataclasses.replace(realize_with_k6c4(s), checked=False, **change)
     with pytest.raises(EmbeddingFailure) as exc:
         cert.revalidate(s)
@@ -633,6 +647,117 @@ def test_oracle_checks_the_placement_witness(monkeypatch, key, witness):
             assert oracle_decide(s, target) == expected, s.terms
             refuted += not expected and len(calls) > before
     assert refuted > 0
+
+
+def compare_cut_engine(monkeypatch, demands):
+    # the oracle's search, with the bound-graph cut, against reference_complete,
+    # which has none, on every demand for both targets.  Every graph that
+    # accept sees must still have a completion; returns the number of cuts
+    # and of cuts that undo a leap's landing set
+    leap, bound_test = search._first_passing, search._bound_test
+    seen = {"steps": 0, "leap": None, "cuts": 0, "leap_cuts": 0}
+
+    def leaping(*args):
+        landing = leap(*args)
+        if landing is not None:
+            seen["leap"] = seen["steps"]
+        return landing
+
+    def counting(demand, pattern):
+        holds = bound_test(demand, pattern)
+
+        def counted(adj, residual, u):
+            ok = holds(adj, residual, u)
+            if not ok:
+                seen["cuts"] += 1
+                # one accept call since the leap: the cut undoes its landing set
+                seen["leap_cuts"] += seen["leap"] == seen["steps"] - 1
+            return ok
+
+        return counted
+
+    monkeypatch.setattr(search, "_first_passing", leaping)
+    monkeypatch.setattr(search, "_bound_test", counting)
+    for demand in demands:
+        empty = [0] * len(demand)
+        for target in TARGETS.values():
+
+            def accept(adj, u):
+                seen["steps"] += 1
+                left = sorted((d - a.bit_count() for d, a in zip(demand, adj)), reverse=True)
+                assert _eg_ok(left), (demand, adj)
+                return target.accept(adj, u)
+
+            got = _complete(demand, empty, accept, target.pattern)
+            assert got == reference_complete(demand, empty, target.accept), (target.pattern.name, demand)
+    return seen["cuts"], seen["leap_cuts"]
+
+
+def test_cut_engine_matches_reference_through_n9(monkeypatch):
+    # every graphic sequence with n <= 9, as the oracle orders it; and with
+    # n <= 8 in ascending order, where the first sets take the smallest
+    # residuals, so nodes leap and some landing sets are cut
+    demands = [s.terms for n in range(1, 10) for s in enumerate_graphic_sequences(n)]
+    demands += [s.terms[::-1] for n in range(1, 9) for s in enumerate_graphic_sequences(n)]
+    cuts, leap_cuts = compare_cut_engine(monkeypatch, demands)
+    assert (cuts, leap_cuts) == (5066, 25)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=10..11 sweep")
+def test_cut_engine_matches_reference_n10_n11(monkeypatch):
+    demands = [s.terms for n in (10, 11) for s in enumerate_graphic_sequences(n)]
+    cuts, _ = compare_cut_engine(monkeypatch, demands)
+    assert cuts > 0
+
+
+def test_cut_saves_search_work(monkeypatch):
+    # accept calls of the oracle on the seven slowest K6-C4 *no* sequences of
+    # n = 9; without the cut they make 1,406, 1,260, 1,054, 1,015, 938, 202
+    # and 199 calls
+    target = TARGETS["k6-c4"]
+    calls = []
+
+    def counted(adj, u):
+        calls.append(u)
+        return target.accept(adj, u)
+
+    monkeypatch.setitem(TARGETS, "k6-c4", dataclasses.replace(target, accept=counted))
+    counts = {}
+    for text in ("5^2,4,3^6", "5^2,4,3^5,1", "5^2,3^6,2", "5^2,3^5,2,1", "5^2,4^7", "6,5,3^7", "6,5,3^6,1"):
+        del calls[:]
+        assert oracle_decide_k6c4(seq(text)) is False
+        counts[text] = len(calls)
+    assert counts == {
+        "5^2,4,3^6": 52,
+        "5^2,4,3^5,1": 58,
+        "5^2,3^6,2": 21,
+        "5^2,3^5,2,1": 33,
+        "5^2,4^7": 28,
+        "6,5,3^7": 16,
+        "6,5,3^6,1": 30,
+    }
+
+
+def test_realizer_makes_no_cut_test(monkeypatch):
+    # the cut needs an empty base and a pattern that accept tests for: the
+    # realizer's completions (base edges, no accept) never build the test
+    built = []
+    bound_test = search._bound_test
+
+    def recorded(demand, pattern):
+        built.append(pattern)
+        return bound_test(demand, pattern)
+
+    monkeypatch.setattr(search, "_bound_test", recorded)
+    for n in range(5, 9):
+        for s in enumerate_graphic_sequences(n):
+            for decide, realize in ((decide_k6c4, realize_with_k6c4), (decide_k5c4, realize_with_k5c4)):
+                if decide(s).is_yes:
+                    realize(s)
+    assert built == []
+    assert oracle_decide_k6c4(seq("5^2,4,3^6")) is False
+    assert built == [K6_MINUS_C4]
 
 
 # --- enumeration ------------------------------------------------------------
