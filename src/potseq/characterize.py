@@ -83,7 +83,6 @@ from .sequences import (
     is_graphic,
     parse_notation,
     render_notation,
-    shape_of,
 )
 
 __all__ = [
@@ -109,6 +108,11 @@ class Verdict:
     (for ``TOO_SHORT``, n and the minimum length),
     ``exception_index``/``matched_exception`` for fixture hits, and
     ``family_k``/``family_i`` for the parameterized K5-C4 family.
+
+    The deciders hand out one shared object for each verdict fixed by its
+    target, reason, n and ``lhs`` (such as every ``OK`` at one n), so equal
+    verdicts may be the same object: compare them with ``==``, never
+    ``is``.  The class is frozen, so sharing is safe.
     """
 
     target: str
@@ -166,6 +170,24 @@ def k6c4_exceptions() -> ExceptionTable:
     return _table
 
 
+# Verdicts fixed by (target, reason, n, lhs), built once and then shared.
+# The deciders store only OK, NOT_GRAPHIC, COND2_RESIDUAL, TOO_SHORT and
+# COND1_* here, whose lhs lies below 6, so the table holds a bounded number
+# of verdicts per (target, n).
+_SHARED: dict[tuple[str, str, int, int | None], Verdict] = {}
+
+
+def _shared(target: str, reason: str, n: int, lhs: int | None = None, rhs: int | None = None) -> Verdict:
+    """The one verdict for (target, reason, n, lhs); ``rhs`` must be fixed
+    by the reason.  Built through the constructor, so it is checked."""
+    key = (target, reason, n, lhs)
+    verdict = _SHARED.get(key)
+    if verdict is None:
+        decision = "yes" if reason == "OK" else "no"
+        verdict = _SHARED[key] = Verdict(target, decision, reason, n=n, lhs=lhs, rhs=rhs)
+    return verdict
+
+
 def _long_tail_family_terms(n: int, threes: int) -> tuple[int, ...]:
     """(n-1,5,3^threes,1^(n-2-threes)); longer than n, so matching no
     n-term sequence, when n < threes + 2."""
@@ -190,18 +212,19 @@ def decide_k6c4(seq: DegreeSequence) -> Verdict:
     """Decide whether ``seq`` is potentially K6-C4-graphic."""
     n = seq.n
     if not is_graphic(seq):
-        return Verdict(K6C4, "no", "NOT_GRAPHIC", n=n)
+        return _shared(K6C4, "NOT_GRAPHIC", n)
     if n < 6:
-        return Verdict(K6C4, "no", "TOO_SHORT", n=n, lhs=n, rhs=6)
+        return _shared(K6C4, "TOO_SHORT", n, n, 6)
     d = seq.terms
     if d[1] < 5:
-        return Verdict(K6C4, "no", "COND1_D2", n=n, lhs=d[1], rhs=5)
+        return _shared(K6C4, "COND1_D2", n, d[1], 5)
     if d[5] < 3:
-        return Verdict(K6C4, "no", "COND1_D6", n=n, lhs=d[5], rhs=3)
-    shape = shape_of(seq)
-    if shape is not None and shape.matches:
-        head_sum = sum(shape.head)
-        bound = n + 2 * shape.k + shape.t + 1
+        return _shared(K6C4, "COND1_D6", n, d[5], 3)
+    if d[3] <= 3:  # the shape case: every term after the third is 1, 2 or 3
+        # d1, d2 >= 5 and d3 >= d6 >= 3, so of the head only d3 can be a 3
+        # and none is a 2: k and t count the tail alone
+        head_sum = d[0] + d[1] + d[2]
+        bound = n + 2 * (d.count(3) - (d[2] == 3)) + d.count(2) + 1
         if head_sum > bound:
             return Verdict(K6C4, "no", "COND2_SUM", n=n, lhs=head_sum, rhs=bound)
     table = k6c4_exceptions()
@@ -221,8 +244,8 @@ def decide_k6c4(seq: DegreeSequence) -> Verdict:
         if d == _long_tail_family_terms(n, 6):
             return Verdict(K6C4, "no", "COND3_FAMILY_B", n=n, matched_exception=render_notation(seq))
     if _residual_family(d, n):
-        return Verdict(K6C4, "no", "COND2_RESIDUAL", n=n)
-    return Verdict(K6C4, "yes", "OK", n=n)
+        return _shared(K6C4, "COND2_RESIDUAL", n)
+    return _shared(K6C4, "OK", n)
 
 
 def _k5c4_family_terms(n: int, k: int, i: int) -> tuple[int, ...]:
@@ -230,28 +253,31 @@ def _k5c4_family_terms(n: int, k: int, i: int) -> tuple[int, ...]:
     return (n - k, k + i) + (2,) * i + (1,) * (n - i - 2)
 
 
+_K5C4_FIXED = {(4, 2, 2, 2, 2, 2): 0, (4, 2, 2, 2, 2, 2, 2): 1}  # terms -> exception_index
+
+
 def decide_k5c4(seq: DegreeSequence) -> Verdict:
     """Decide whether ``seq`` is potentially K5-C4-graphic."""
     n = seq.n
     if not is_graphic(seq):
-        return Verdict(K5C4, "no", "NOT_GRAPHIC", n=n)
+        return _shared(K5C4, "NOT_GRAPHIC", n)
     if n < 5:
-        return Verdict(K5C4, "no", "TOO_SHORT", n=n, lhs=n, rhs=5)
+        return _shared(K5C4, "TOO_SHORT", n, n, 5)
     d = seq.terms
     if d[0] < 4:
-        return Verdict(K5C4, "no", "COND1_D1", n=n, lhs=d[0], rhs=4)
+        return _shared(K5C4, "COND1_D1", n, d[0], 4)
     if d[4] < 2:
-        return Verdict(K5C4, "no", "COND1_D5", n=n, lhs=d[4], rhs=2)
-    for idx, fixed in enumerate(((4, 2, 2, 2, 2, 2), (4, 2, 2, 2, 2, 2, 2))):
-        if d == fixed:
-            return Verdict(
-                K5C4,
-                "no",
-                "COND2_FIXED",
-                n=n,
-                exception_index=idx,
-                matched_exception=render_notation(seq),
-            )
+        return _shared(K5C4, "COND1_D5", n, d[4], 2)
+    idx = _K5C4_FIXED.get(d)
+    if idx is not None:
+        return Verdict(
+            K5C4,
+            "no",
+            "COND2_FIXED",
+            n=n,
+            exception_index=idx,
+            matched_exception=render_notation(seq),
+        )
     if d[0] == d[1] == n - 2 and d == (n - 2, n - 2) + (2,) * (n - 2):
         return Verdict(K5C4, "no", "COND2_FAMILY_SQUARE", n=n, matched_exception=render_notation(seq))
     # a family member fixes k by d1 and then i by d2
@@ -267,7 +293,7 @@ def decide_k5c4(seq: DegreeSequence) -> Verdict:
             family_i=i,
             matched_exception=render_notation(seq),
         )
-    return Verdict(K5C4, "yes", "OK", n=n)
+    return _shared(K5C4, "OK", n)
 
 
 def sigma_formula_k6c4(n: int) -> int:

@@ -81,10 +81,17 @@ class Graph:
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
 
+    def _check_vertex(self, u: int) -> None:
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for n={self.n}")
+
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, u: int) -> int:
+        self._check_vertex(u)
         return self.adj[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
@@ -105,6 +112,7 @@ class Graph:
         return sum(m.bit_count() for m in self.adj) // 2
 
     def neighbors(self, u: int) -> tuple[int, ...]:
+        self._check_vertex(u)
         return tuple(v for v in range(self.n) if self.adj[u] >> v & 1)
 
 

@@ -1,9 +1,14 @@
+import dataclasses
 import hashlib
 import os
+import pickle
+import random
+from collections import Counter
 from importlib import resources
 
 import pytest
 
+from potseq import characterize
 from potseq.characterize import (
     ExceptionTable,
     Verdict,
@@ -13,8 +18,8 @@ from potseq.characterize import (
     k6c4_exceptions,
     sigma_formula_k6c4,
 )
-from potseq.search import EmbeddingFailure, realize_with_k6c4
-from potseq.sequences import DegreeSequence, _eg_ok, parse_notation, render_notation
+from potseq.search import EmbeddingFailure, enumerate_graphic_sequences, realize_with_k6c4
+from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation, shape_of
 
 # Guards the shipped fixture file against transcription drift.
 EXCEPTIONS_SHA256 = "7687043b56c934666ab7812229defb04c16d256bcdf23f0058cadd0d42744720"
@@ -306,6 +311,163 @@ def test_decide_k5c4_every_family_member():
                 if n - i - 2 >= 2:
                     raised = tuple(sorted(terms[:-2] + (2, 2), reverse=True))
                     assert decide_k5c4(DegreeSequence(raised)).reason != "COND2_FAMILY_KI", raised
+
+
+# --- shared verdicts against per-call construction --------------------------
+
+
+def reference_decide_k6c4(s: DegreeSequence) -> Verdict:
+    """decide_k6c4 as it was before verdicts were shared: a fresh Verdict on
+    every call, and condition (2) read from shape_of."""
+    n = s.n
+    if not is_graphic(s):
+        return Verdict("K6-C4", "no", "NOT_GRAPHIC", n=n)
+    if n < 6:
+        return Verdict("K6-C4", "no", "TOO_SHORT", n=n, lhs=n, rhs=6)
+    d = s.terms
+    if d[1] < 5:
+        return Verdict("K6-C4", "no", "COND1_D2", n=n, lhs=d[1], rhs=5)
+    if d[5] < 3:
+        return Verdict("K6-C4", "no", "COND1_D6", n=n, lhs=d[5], rhs=3)
+    shape = shape_of(s)
+    if shape is not None and shape.matches:
+        head_sum = sum(shape.head)
+        bound = n + 2 * shape.k + shape.t + 1
+        if head_sum > bound:
+            return Verdict("K6-C4", "no", "COND2_SUM", n=n, lhs=head_sum, rhs=bound)
+    table = k6c4_exceptions()
+    idx = table.match(s)
+    if idx is not None:
+        exception = render_notation(table.fixed[idx])
+        return Verdict("K6-C4", "no", "COND3_FIXED", n=n, exception_index=idx, matched_exception=exception)
+    for reason, threes in (("COND3_FAMILY_A", 5), ("COND3_FAMILY_B", 6)):
+        if d == (n - 1, 5) + (3,) * threes + (1,) * (n - 2 - threes):
+            return Verdict("K6-C4", "no", reason, n=n, matched_exception=render_notation(s))
+    if characterize._residual_family(d, n):
+        return Verdict("K6-C4", "no", "COND2_RESIDUAL", n=n)
+    return Verdict("K6-C4", "yes", "OK", n=n)
+
+
+def reference_decide_k5c4(s: DegreeSequence) -> Verdict:
+    """decide_k5c4 before verdicts were shared: fresh Verdicts, and a loop
+    over the two fixed exceptions."""
+    n = s.n
+    if not is_graphic(s):
+        return Verdict("K5-C4", "no", "NOT_GRAPHIC", n=n)
+    if n < 5:
+        return Verdict("K5-C4", "no", "TOO_SHORT", n=n, lhs=n, rhs=5)
+    d = s.terms
+    if d[0] < 4:
+        return Verdict("K5-C4", "no", "COND1_D1", n=n, lhs=d[0], rhs=4)
+    if d[4] < 2:
+        return Verdict("K5-C4", "no", "COND1_D5", n=n, lhs=d[4], rhs=2)
+    for idx, fixed in enumerate(((4, 2, 2, 2, 2, 2), (4, 2, 2, 2, 2, 2, 2))):
+        if d == fixed:
+            exception = render_notation(s)
+            return Verdict(
+                "K5-C4", "no", "COND2_FIXED", n=n, exception_index=idx, matched_exception=exception
+            )
+    if d[0] == d[1] == n - 2 and d == (n - 2, n - 2) + (2,) * (n - 2):
+        return Verdict("K5-C4", "no", "COND2_FAMILY_SQUARE", n=n, matched_exception=render_notation(s))
+    k = n - d[0]
+    i = d[1] - k
+    if 1 <= k < (n - 1) // 2 and 3 <= i <= n - 2 * k and d == (n - k, k + i) + (2,) * i + (1,) * (n - i - 2):
+        exception = render_notation(s)
+        return Verdict(
+            "K5-C4", "no", "COND2_FAMILY_KI", n=n, family_k=k, family_i=i, matched_exception=exception
+        )
+    return Verdict("K5-C4", "yes", "OK", n=n)
+
+
+def _check_style_literals(seed: int, count: int):
+    """Seeded literals of the kinds `potseq check` sees: G(n,p) degree lists
+    (unsorted, zeros kept), shape-case sequences near the condition (2)
+    bound, K5-C4 family members and near misses, and perturbed sums."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        roll = rng.random()
+        if roll < 0.4:
+            p = min(1.0, rng.uniform(0.5, 12.0) / max(n - 1, 1))
+            deg = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        deg[u] += 1
+                        deg[v] += 1
+            if roll < 0.1:
+                deg[rng.randrange(n)] += 1
+            yield ",".join(map(str, deg))
+            continue
+        if roll < 0.8 and n >= 7:
+            k = rng.randint(0, n - 3)
+            t = rng.randint(0, n - 3 - k)
+            d3 = rng.choice((3, 3, rng.randint(1, n - 1)))
+            d2 = rng.randint(d3, n - 1)
+            d1 = max(d2, n + 2 * k + t + 1 + rng.randint(-4, 3) - d2 - d3)
+            terms = (d1, d2, d3) + (3,) * k + (2,) * t + (1,) * (n - 3 - k - t)
+        elif n >= 7:
+            k = rng.randint(1, (n - 1) // 2 - 1)
+            i = rng.randint(3, n - 2 * k)
+            terms = (n - k, k + i + rng.randint(0, 1)) + (2,) * i + (1,) * (n - i - 2)
+        else:
+            terms = (4,) + (2,) * rng.randint(4, 7)
+        yield render_notation(DegreeSequence.of(terms))
+
+
+def _differential_inputs():
+    for n in range(1, 11):
+        yield from enumerate_graphic_sequences(n)
+    for text in _check_style_literals(2026, 6000):
+        yield parse_notation(text)
+
+
+def test_deciders_match_per_call_construction():
+    checked = set()
+    for s in _differential_inputs():
+        for decide, reference in ((decide_k6c4, reference_decide_k6c4), (decide_k5c4, reference_decide_k5c4)):
+            got, want = decide(s), reference(s)
+            assert dataclasses.astuple(got) == dataclasses.astuple(want), render_notation(s)
+            assert explain(got) == explain(want)
+            checked.add((got.target, got.reason))
+    # every reason code fires: 10 for K6-C4, 8 for K5-C4
+    assert Counter(target for target, _ in checked) == {"K6-C4": 10, "K5-C4": 8}
+
+
+def test_shared_verdict_is_frozen():
+    v = decide_k6c4(seq("5^2,4^5"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.reason = "COND1_D2"
+    assert decide_k6c4(seq("5^2,4^5")).reason == "OK"
+
+
+def test_replace_leaves_shared_verdicts_alone():
+    v = decide_k5c4(seq("4^5"))
+    w = dataclasses.replace(v, decision="no", reason="COND1_D1", lhs=3, rhs=4)
+    assert w is not v and w.reason == "COND1_D1"
+    again = decide_k5c4(seq("4^5"))
+    assert (again.decision, again.reason, again.n, again.lhs) == ("yes", "OK", 5, None)
+
+
+@pytest.mark.parametrize("text", ["5^2,4^5", "4^6", "3^3,1", "2^3", "6,5^2,3^4", "6^3,3^4"])
+def test_shared_verdict_survives_pickle(text):
+    v = decide_k6c4(seq(text))
+    assert pickle.loads(pickle.dumps(v)) == v
+
+
+def test_shared_table_is_bounded_per_target_and_n():
+    for n in range(1, 11):
+        for s in enumerate_graphic_sequences(n):
+            decide_k6c4(s)
+            decide_k5c4(s)
+    per_target_n = Counter((target, n) for target, _, n, _ in characterize._SHARED)
+    # K6-C4 at n >= 6: OK, NOT_GRAPHIC, COND2_RESIDUAL, d2 in 1..4, d6 in 1..2
+    assert max(per_target_n.values()) <= 9
+    shared_kinds = {"OK", "NOT_GRAPHIC", "COND2_RESIDUAL", "TOO_SHORT"}
+    shared_kinds |= {"COND1_D2", "COND1_D6", "COND1_D1", "COND1_D5"}
+    assert {reason for _, reason, _, _ in characterize._SHARED} <= shared_kinds
+    assert all(lhs is None or lhs < 6 for *_, lhs in characterize._SHARED)
+    assert decide_k6c4(seq("5^2,4^5")) is decide_k6c4(seq("6^2,4^4,2"))
 
 
 # --- sigma formula ----------------------------------------------------------

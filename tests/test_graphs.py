@@ -85,6 +85,21 @@ def test_graph_accessors():
     assert g.neighbors(1) == (0, 2)
 
 
+@pytest.mark.parametrize("bad", [-1, -4, 4, 9])
+def test_graph_accessors_reject_out_of_range_vertices(bad):
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    message = rf"^vertex {bad} out of range for n=4$"
+    for call in (
+        lambda: g.has_edge(bad, 2),
+        lambda: g.has_edge(2, bad),
+        lambda: g.has_edge(bad, bad),
+        lambda: g.degree(bad),
+        lambda: g.neighbors(bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 # --- patterns ---------------------------------------------------------------
 
 
