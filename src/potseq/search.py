@@ -90,6 +90,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement, compress, dropwhile
+from operator import ge
 from typing import Callable, Iterator, Sequence
 
 from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
@@ -214,8 +215,11 @@ def _complete(
     the Erdos-Gallai check prove that a partial graph can be completed.
 
     With ``pattern`` given, ``accept`` must hold exactly on the graphs that
-    contain it.  A step on which ``accept`` fails is then cut, undone like
-    a dead end, when no copy of the pattern fits the bound graph
+    contain it.  The search then returns None at once when the sorted
+    demand does not dominate the pattern's sorted degrees: the root's bound
+    graph is the complete graph on the unsaturated vertices, and no copy
+    of the pattern fits its caps.  A step on which ``accept`` fails is cut,
+    undone like a dead end, when no copy of the pattern fits the bound graph
     (``_bound_test``; the lemma and its proof are in the module
     docstring).  A step that joins ``u`` to every unsaturated vertex leaves
     the bound graph as it was, so it is not tested.  A cut clears the mark
@@ -240,19 +244,25 @@ def _complete(
     check after a step looks at the non-zero residuals only: a saturated
     vertex adds a zero term, which changes no inequality.
 
-    Each saturated vertex has a frame on an explicit stack: ``[u, r,
-    cands, combinations iterator, twin map, set applied, sets failed]``,
-    the last None once a set of the node has passed.  The first set never
-    takes a twin without its earlier twins, so it is tried as the node
-    opens, and the twin map (None until then) is only built once it has
-    failed.  The next sets are tried in turn; when the first four have
-    failed, the node leaps to the first set that passes
-    (``_first_passing``) without testing the sets in between, and the
-    frame's iterator is advanced past it, so a later backtrack resumes the
-    scan where it would have stood.  A short run of failing sets is
-    cheaper to scan than to leap over, so the leap waits for the fourth
-    failure.  The module docstring proves the lemma the leap rests on, and
-    that the leap expands the same sets as the scan.
+    A node saturates a vertex ``u`` with the largest residual ``r``.  That
+    residual is read off the head of the live terms that the parent's check
+    has just sorted; only at the root, and after a leap's landing set,
+    which is not checked, is it found by ``max``.  Each saturated vertex
+    has a frame on an explicit stack: ``[u, r, cands, combinations
+    iterator, twin map, set applied, sets failed]``, the last None once a
+    set of the node has passed.  The first set, ``cands[:r]``, never takes
+    a twin without its earlier twins, so it is tried as the node opens.
+    The iterator and the twin map (slots 3 and 4) stay None until the node
+    first backtracks, which most nodes never do; then the iterator is
+    built and advanced past the first set, and the twin map is built.  The
+    next sets are tried in turn; when the first four have failed, the node
+    leaps to the first set that passes (``_first_passing``) without
+    testing the sets in between, and the frame's iterator is advanced past
+    it, so a later backtrack resumes the scan where it would have stood.
+    A short run of failing sets is cheaper to scan than to leap over, so
+    the leap waits for the fourth failure.  The module docstring proves
+    the lemma the leap rests on, and that the leap expands the same sets
+    as the scan.
     """
     if sum(demand) % 2:
         return None
@@ -261,30 +271,39 @@ def _complete(
         return adj
     n = len(adj)
     residual = list(demand)
-    holds = None if pattern is None else _bound_test(demand, pattern)
+    holds = None
+    if pattern is not None:
+        # the root's bound graph: no copy of the pattern fits its caps
+        if not _dominates(sorted(demand, reverse=True), pattern.degree_multiset):
+            return None
+        holds = _bound_test(demand, pattern)
+    # the next node's largest residual: the head of the live terms the check
+    # has just sorted, or their max where no check ran (at the root, and
+    # after a leap's landing set)
+    top = max(residual) if n else 0
     stack: list[list] = []
     while True:
         # open a node on the current graph and take its first neighbor set;
         # ``passed``: the set is known to pass the check
         passed = False
         combo = None
-        r = max(residual, default=0)
+        r = top
         if r == 0:
             if accept is None:
                 return adj
         else:
             u = residual.index(r)
             # unsaturated vertices are adjacent only through base edges
+            residual[u] = 0
             cands = list(compress(range(n), residual))
-            cands.remove(u)
             if base[u]:
                 cands = [v for v in cands if not base[u] >> v & 1]
             if r <= len(cands):
-                residual[u] = 0
-                combos = combinations(cands, r)
-                frame = [u, r, cands, combos, None, (), 0]
+                frame = [u, r, cands, None, None, (), 0]
                 stack.append(frame)
-                combo = next(combos)
+                combo = tuple(cands[:r])
+            else:
+                residual[u] = r
         while True:
             if combo is None:
                 # backtrack: the next set of the deepest open node
@@ -298,7 +317,10 @@ def _complete(
                     adj[u] ^= 1 << v
                     adj[v] ^= bit
                     residual[v] += 1
-                if twin_before is None:
+                if combos is None:
+                    # the node's first backtrack: resume after its first set
+                    combos = frame[3] = combinations(cands, r)
+                    next(combos)
                     twin_before = frame[4] = _twin_before(adj, residual, cands)
                 combo = _next_set(combos, twin_before)
                 if combo is None:
@@ -310,7 +332,8 @@ def _complete(
             # on the live terms: zeros change no inequality.  Exact when
             # unsaturated vertices are pairwise non-adjacent (empty base);
             # otherwise it ignores base pairs and is merely necessary
-            if not (passed or _eg_ok(sorted(filter(None, residual), reverse=True))):
+            live = None if passed else sorted(filter(None, residual), reverse=True)
+            if not (passed or _eg_ok(live)):
                 for v in combo:
                     residual[v] += 1
                 frame[5] = ()
@@ -327,6 +350,7 @@ def _complete(
                 else:
                     combo = None
                 continue
+            top = max(residual) if passed else live[0] if live else 0
             frame[5] = combo
             frame[6] = None
             bit = 1 << u
@@ -519,8 +543,13 @@ def _oracle_pre(seq: DegreeSequence, target: Target, bound: int | None) -> bool:
         )
     if not is_graphic(seq):
         raise ValueError(f"oracle requires a graphic sequence, got {render_notation(seq)}")
-    degrees = target.pattern.degree_multiset
-    return seq.n >= len(degrees) and all(x >= y for x, y in zip(seq.terms, degrees))
+    return _dominates(seq.terms, target.pattern.degree_multiset)
+
+
+def _dominates(terms: Sequence[int], degrees: tuple[int, ...]) -> bool:
+    """Whether the non-increasing ``terms`` dominate the non-increasing
+    ``degrees`` term by term, with at least as many terms."""
+    return len(terms) >= len(degrees) and all(map(ge, terms, degrees))
 
 
 def _has_k6c4(adj: list[int], u: int) -> bool:
@@ -547,7 +576,8 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int | None = None)
     found = _place_km_c4(seq.terms, target.pattern.vertex_count)
     if found is not None:
         adj = found[0]
-        if all(a.bit_count() == x for a, x in zip(adj, seq.terms)) and target.accept(adj, -1):
+        # every row: a padded witness must not pass on its first n rows
+        if tuple(map(int.bit_count, adj)) == seq.terms and target.accept(adj, -1):
             return True
     return _complete(seq.terms, [0] * seq.n, target.accept, target.pattern) is not None
 
@@ -918,6 +948,11 @@ TARGETS = {
 
 
 def _key_of(pattern: TargetPattern) -> str:
+    # by identity first: callers mostly pass a registered pattern, and ``==``
+    # compares names and edge tuples
+    for key, target in TARGETS.items():
+        if target.pattern is pattern:
+            return key
     for key, target in TARGETS.items():
         if target.pattern == pattern:
             return key

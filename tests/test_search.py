@@ -283,6 +283,45 @@ def reference_complete(demand, base, accept):
             break
 
 
+def test_completion_engine_on_no_vertices():
+    assert _complete([], [], None) == []
+    assert _complete([], [], search._has_k5c4) is None
+
+
+def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
+    # a node tries its first set before it builds a combinations iterator or
+    # a twin map, and builds both on its first backtrack only: over the
+    # realizer's placements of every decider-yes sequence with n <= 9, the
+    # two are built equally often, and far less often than sets are checked
+    problems = []
+    engine = search._complete
+
+    def recorded(demand, base, accept):
+        problems.append((list(demand), list(base)))
+        return engine(demand, base, accept)
+
+    monkeypatch.setattr(search, "_complete", recorded)
+    for n in range(5, 10):
+        for s in enumerate_graphic_sequences(n):
+            for decide, realize in ((decide_k6c4, realize_with_k6c4), (decide_k5c4, realize_with_k5c4)):
+                if decide(s).is_yes:
+                    realize(s)
+    monkeypatch.setattr(search, "_complete", engine)
+    built = {"combinations": 0, "_twin_before": 0, "_eg_ok": 0}
+    for name in built:
+        original = getattr(search, name)
+
+        def counted(*args, name=name, original=original):
+            built[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(search, name, counted)
+    for demand, base in problems:
+        engine(demand, base, None)
+    assert len(problems) == 7105
+    assert built == {"combinations": 1950, "_twin_before": 1950, "_eg_ok": 31480}
+
+
 def test_completion_engine_matches_reference_random():
     rng = random.Random(8)
     for _ in range(2000):
@@ -625,16 +664,20 @@ def test_oracle_engines_agree_small():
 
 
 @pytest.mark.parametrize("key", ["k6-c4", "k5-c4"])
-@pytest.mark.parametrize("witness", ["wrong_degrees", "no_pattern"])
+@pytest.mark.parametrize("witness", ["wrong_degrees", "no_pattern", "padded"])
 def test_oracle_checks_the_placement_witness(monkeypatch, key, witness):
     # a placement witness with other degrees than the sequence's (a complete
-    # graph, which contains the pattern), or with the right degrees but no
-    # copy of the pattern, must not turn a no into a yes
+    # graph, which contains the pattern), with the right degrees but no copy
+    # of the pattern, or with the right degrees on its first n rows and a
+    # disjoint copy of the pattern on extra rows, must not turn a no into a yes
     def fake_placement(d, m):
         calls.append(d)
         if witness == "wrong_degrees":
             return list(complete_graph(len(d)).adj), (), ()
-        return list(realize_graphic(DegreeSequence(tuple(d))).adj), (), ()
+        adj = list(realize_graphic(DegreeSequence(tuple(d))).adj)
+        if witness == "padded":
+            adj += [row << len(d) for row in target.pattern.as_graph().adj]
+        return adj, (), ()
 
     monkeypatch.setattr(search, "_place_km_c4", fake_placement)
     target = TARGETS[key]
@@ -700,7 +743,15 @@ def test_cut_engine_matches_reference_through_n9(monkeypatch):
     demands = [s.terms for n in range(1, 10) for s in enumerate_graphic_sequences(n)]
     demands += [s.terms[::-1] for n in range(1, 9) for s in enumerate_graphic_sequences(n)]
     cuts, leap_cuts = compare_cut_engine(monkeypatch, demands)
-    assert (cuts, leap_cuts) == (5066, 25)
+    assert (cuts, leap_cuts) == (1112, 1)
+
+
+def test_cut_of_a_leap_landing_set_checks_the_next_set(monkeypatch):
+    # ascending n = 9 demands on which a cut undoes a leap's landing set: the
+    # node's next set must be checked again, or the K6-C4 search goes on
+    # from a graph that has no completion
+    demands = [(2, 2, 3, 3, 4, 4, 6, 6, 6), (3, 3, 3, 3, 4, 5, 5, 5, 5), (2, 3, 3, 3, 4, 4, 5, 5, 5), (1, 1, 1, 3, 3, 4, 5, 5, 5)]
+    assert compare_cut_engine(monkeypatch, demands) == (205, 8)
 
 
 @pytest.mark.slow
@@ -709,6 +760,24 @@ def test_cut_engine_matches_reference_n10_n11(monkeypatch):
     demands = [s.terms for n in (10, 11) for s in enumerate_graphic_sequences(n)]
     cuts, _ = compare_cut_engine(monkeypatch, demands)
     assert cuts > 0
+
+
+@pytest.mark.parametrize("text,pattern", [("4^5,3^2,2^2", K6_MINUS_C4), ("4^5", K6_MINUS_C4), ("3^6", K5_MINUS_C4)])
+def test_cut_engine_stops_at_a_root_without_dominance(text, pattern):
+    # no term, or too few terms, reach the pattern's degrees: the search
+    # answers after the base's one full test, with no step, as the exhaustive
+    # reference does after searching every realization
+    demand = seq(text).terms
+    key = search._key_of(pattern)
+    calls = []
+
+    def counted(adj, u):
+        calls.append(u)
+        return TARGETS[key].accept(adj, u)
+
+    assert _complete(demand, [0] * len(demand), counted, pattern) is None
+    assert calls == [-1]
+    assert reference_complete(demand, [0] * len(demand), TARGETS[key].accept) is None
 
 
 def test_cut_saves_search_work(monkeypatch):
