@@ -14,7 +14,9 @@ import sys
 
 from .characterize import explain
 from .graphs import encode_graph6, to_dot, to_edgelist
-from .search import TARGETS, NotPotentialError, OracleBoundError, sigma_search, verify_range
+from .search import (
+    TARGETS, NotPotentialError, OracleBoundError, resolve_oracle_bound, sigma_search, verify_range
+)
 from .sequences import (
     DegreeSequence, NotationError, is_graphic, is_graphic_layoff, parse_notation, render_notation
 )
@@ -181,6 +183,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: bad --n value: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # the whole range is refused before any sweep runs
+    try:
+        bound = resolve_oracle_bound(args.oracle_bound)
+        if ns[-1] > bound:
+            raise OracleBoundError(f"n = {ns[-1]} exceeds the exhaustive-search bound {bound}")
+    except OracleBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     target = TARGETS[args.target].pattern
     reports = []
     for n in ns:
@@ -188,12 +198,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             step = max(1, total // 10)
             if done % step == 0 or done == total:
                 print(f"verify n={n}: {done}/{total}", file=sys.stderr)
-        try:
-            rep = verify_range(n, target, bound=args.oracle_bound, jobs=args.jobs, progress=progress)
-        except OracleBoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        reports.append(rep)
+        reports.append(verify_range(n, target, bound=bound, jobs=args.jobs, progress=progress))
     if args.json:
         payload = [r.to_dict() for r in reports]
         _emit_json(payload[0] if len(payload) == 1 else {"reports": payload})

@@ -259,11 +259,10 @@ def find_km_minus_c4(g: Graph, m: int) -> PatternWitness | None:
 
 
 @lru_cache(maxsize=16)  # bounded: contains_pattern takes any pattern
-def _embedding_steps(pattern: TargetPattern, anchor: int = -1) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The order in which ``_contains_pattern_adj`` maps pattern vertices,
-    starting with ``anchor`` when it is not -1: per step, the vertex's
-    pattern degree and the earlier steps whose vertices it must be adjacent
-    to."""
+def _embedding_steps(pattern: TargetPattern) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The order in which ``_contains_pattern_adj`` maps pattern vertices:
+    per step, the vertex's pattern degree and the earlier steps whose
+    vertices it must be adjacent to."""
     p = pattern.vertex_count
     pdeg = [0] * p
     padj = [0] * p
@@ -274,9 +273,9 @@ def _embedding_steps(pattern: TargetPattern, anchor: int = -1) -> tuple[tuple[in
         padj[v] |= 1 << u
     # assign high-degree pattern vertices first, preferring ones adjacent to
     # already-assigned vertices so edge constraints bite early
-    order = [] if anchor < 0 else [anchor]
-    placed = 0 if anchor < 0 else 1 << anchor
-    for _ in range(p - len(order)):
+    order = []
+    placed = 0
+    for _ in range(p):
         best = -1
         best_key = (-1, -1)
         for x in range(p):
@@ -294,51 +293,19 @@ def _embedding_steps(pattern: TargetPattern, anchor: int = -1) -> tuple[tuple[in
     )
 
 
-@lru_cache(maxsize=16)
-def _orbit_anchors(pattern: TargetPattern) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """Embedding orders anchored at one representative of each orbit of the
-    pattern's automorphism group.  x and y share an orbit iff some
-    embedding of the pattern into itself maps x to y, which ``_embed``
-    decides with the order anchored at x and y as its first host."""
-    p = pattern.vertex_count
-    padj = pattern.as_graph().adj
-    plans = []
-    unplaced = full = (1 << p) - 1
-    while unplaced:
-        x = (unplaced & -unplaced).bit_length() - 1
-        steps = _embedding_steps(pattern, x)
-        plans.append(steps)
-        for y in range(x, p):
-            if unplaced >> y & 1 and _embed(padj, None, steps, [y] + [-1] * (p - 1), 1, full ^ 1 << y):
-                unplaced ^= 1 << y
-    return tuple(plans)
-
-
-def _contains_pattern_adj(
-    adj: Sequence[int], n: int, pattern: TargetPattern, through: int = -1, caps: Sequence[int] | None = None
-) -> bool:
+def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern, caps: Sequence[int]) -> bool:
     """Whether the graph contains ``pattern`` with every pattern vertex on a
-    host whose cap, ``caps[v]`` (default: its degree), is at least its
-    pattern degree; with ``through`` >= 0, only copies that contain that
-    vertex are looked for, by mapping each orbit representative of the
-    pattern to it in turn."""
+    host whose cap ``caps[v]`` is at least its pattern degree; with each
+    host's degree as its cap, whether the graph contains the pattern."""
     if pattern.vertex_count > n:
         return False
-    full = (1 << n) - 1
-    if through < 0:
-        steps = _embedding_steps(pattern)
-        return _embed(adj, caps, steps, [-1] * len(steps), 0, full)
-    for steps in _orbit_anchors(pattern):
-        if (adj[through].bit_count() if caps is None else caps[through]) >= steps[0][0]:
-            assign = [through] + [-1] * (len(steps) - 1)
-            if _embed(adj, caps, steps, assign, 1, full ^ 1 << through):
-                return True
-    return False
+    steps = _embedding_steps(pattern)
+    return _embed(adj, caps, steps, [-1] * len(steps), 0, (1 << n) - 1)
 
 
 def _embed(
     adj: Sequence[int],
-    caps: Sequence[int] | None,
+    caps: Sequence[int],
     steps: tuple[tuple[int, tuple[int, ...]], ...],
     assign: list[int],
     idx: int,
@@ -357,7 +324,7 @@ def _embed(
         low = cands & -cands
         cands ^= low
         v = low.bit_length() - 1
-        if (adj[v].bit_count() if caps is None else caps[v]) >= need:
+        if caps[v] >= need:
             assign[idx] = v
             if _embed(adj, caps, steps, assign, idx + 1, free ^ low):
                 return True
@@ -368,7 +335,9 @@ def contains_pattern(g: Graph, pattern: TargetPattern) -> bool:
     """Injective vertex map preserving all pattern edges (brute force)."""
     if pattern.vertex_count > 10:
         raise ValueError("pattern too large for brute-force containment")
-    return _contains_pattern_adj(g.adj, g.n, pattern)
+    # a list, not g.degrees(): a tuple built from a generator is resized,
+    # and freed into a free list it never takes from, which keeps growing
+    return _contains_pattern_adj(g.adj, g.n, pattern, [a.bit_count() for a in g.adj])
 
 
 def degree_sequence_of(g: Graph) -> DegreeSequence:

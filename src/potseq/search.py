@@ -54,11 +54,14 @@ partial graph that contains the pattern.
 The oracle's test is ``accept(adj, u)``: called once on the base with
 ``u = -1`` (a full test), then after every step, with ``u`` the vertex that
 step saturated.  The parent graph had no copy of the pattern and the new
-edges all touch ``u``, so only copies through ``u`` need to be looked for:
-the K6-C4 oracle takes its hubs from N[u], and the generic one maps each
-automorphism orbit of the pattern to ``u`` in turn.  The engine keeps its
-frames on an explicit stack, so Python's recursion limit does not bound
-the length of a sequence.
+edges all touch ``u``, so only copies through ``u`` need to be looked for.
+Both patterns are K_m - C4 (m = 6 and m = 5), and one test serves both: the
+K_m - C4 finder with m - 4 hubs (``_km_c4_accept``).  The hubs of a copy
+through ``u`` lie in N[u], since ``u`` is a hub or a quad vertex joined to
+every hub, so the finder takes its hubs from there, once ``u`` has at
+least the pattern's least degree (3 for K6-C4, 2 for K5-C4).  The engine
+keeps its frames on an explicit stack, so Python's recursion limit does
+not bound the length of a sequence.
 
 The oracle's search also cuts the steps below which no partial graph can
 hold the pattern.  Call a vertex unsaturated while its residual is
@@ -552,17 +555,22 @@ def _dominates(terms: Sequence[int], degrees: tuple[int, ...]) -> bool:
     return len(terms) >= len(degrees) and all(map(ge, terms, degrees))
 
 
-def _has_k6c4(adj: list[int], u: int) -> bool:
-    if u < 0:
-        return _find_km_minus_c4_adj(adj, len(adj), 2) is not None
-    # every vertex of K6 - C4 has degree >= 3; the hubs of a copy through u
-    # lie in N[u]
-    nb = adj[u]
-    return nb.bit_count() >= 3 and _find_km_minus_c4_adj(adj, len(adj), 2, nb | 1 << u) is not None
+def _km_c4_accept(pattern: TargetPattern) -> _Accept:
+    """The oracle's containment test ``accept(adj, u)`` for K_m - C4, from
+    the K_m - C4 finder with m - 4 hubs.  A copy through u has its hubs in
+    N[u], and puts u on a vertex of at least the pattern's least degree."""
+    hub_count = pattern.vertex_count - 4
+    least = pattern.degree_multiset[-1]
 
+    def accept(adj: list[int], u: int) -> bool:
+        if u < 0:
+            return _find_km_minus_c4_adj(adj, len(adj), hub_count) is not None
+        nb = adj[u]
+        if nb.bit_count() < least:
+            return False
+        return _find_km_minus_c4_adj(adj, len(adj), hub_count, nb | 1 << u) is not None
 
-def _has_k5c4(adj: list[int], u: int) -> bool:
-    return _contains_pattern_adj(adj, len(adj), K5_MINUS_C4, u)
+    return accept
 
 
 def oracle_decide(seq: DegreeSequence, target: Target, bound: int | None = None) -> bool:
@@ -888,7 +896,8 @@ def verify_range(
     """Run decider and oracle on every graphic sequence of length n.
 
     Results are merged in enumeration order, so reports are identical for
-    any ``jobs`` value.
+    any ``jobs`` value.  The pool gets at most ``jobs`` processes, one per
+    task and one per CPU this process may run on.
     """
     limit = resolve_oracle_bound(bound)
     if n > limit:
@@ -898,14 +907,16 @@ def verify_range(
     key = _key_of(target)
     tasks = [(s.terms, key, limit) for s in seqs]
     mismatches: list[Mismatch] = []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(tasks), cpus)
     pool = None
-    if jobs > 1 and len(tasks) > 1:
+    if workers > 1:
         from multiprocessing import Pool  # imported here: a serial run never pays for it
 
-        pool = Pool(processes=jobs)
+        pool = Pool(processes=workers)
     with pool or nullcontext():
         # large chunks at large n: a call is cheap next to pickling a task
-        chunks = max(8, len(tasks) // (jobs * 64))
+        chunks = max(8, len(tasks) // (workers * 64))
         results = pool.imap(_verify_one, tasks, chunksize=chunks) if pool else map(_verify_one, tasks)
         for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
             if (decision == "yes") != oracle:
@@ -931,8 +942,9 @@ class Target:
     """What potseq knows about one pattern: its closed-form decider, its
     constructive realizer, the containment test ``accept(adj, u)`` that
     ``oracle_decide`` runs (a full test for ``u = -1``, else only copies
-    through ``u``) and, when the paper gives one, its sigma formula.  The
-    minimum sequence length is ``pattern.vertex_count``."""
+    through ``u``; for both registered patterns, ``_km_c4_accept``) and,
+    when the paper gives one, its sigma formula.  The minimum sequence
+    length is ``pattern.vertex_count``."""
 
     pattern: TargetPattern
     decide: Callable[[DegreeSequence], Verdict]
@@ -942,8 +954,8 @@ class Target:
 
 
 TARGETS = {
-    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, realize_with_k6c4, _has_k6c4, sigma_formula_k6c4),
-    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, realize_with_k5c4, _has_k5c4, None),
+    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, realize_with_k6c4, _km_c4_accept(K6_MINUS_C4), sigma_formula_k6c4),
+    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, realize_with_k5c4, _km_c4_accept(K5_MINUS_C4), None),
 }
 
 

@@ -294,6 +294,17 @@ def test_verify_bound_refusal():
     assert "bound" in err
 
 
+def test_verify_range_over_bound_is_refused_before_any_sweep(monkeypatch):
+    calls = []
+    monkeypatch.delenv("POTSEQ_ORACLE_BOUND", raising=False)
+    monkeypatch.setattr(cli, "verify_range", lambda *a, **k: calls.append(a))
+    code, out, err = run(["verify", "--n", "10..11"])
+    assert code == 2
+    assert calls == []
+    assert out == ""
+    assert err.startswith("error: n = 11 exceeds the exhaustive-search bound 10")
+
+
 def test_verify_bad_bound_environment_is_a_usage_error(monkeypatch):
     monkeypatch.setenv("POTSEQ_ORACLE_BOUND", "abc")
     code, out, err = run(["verify", "--n", "6"])

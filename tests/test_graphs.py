@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import combinations
 
@@ -17,11 +18,12 @@ from potseq.graphs import (
     from_edgelist,
     to_dot,
     to_edgelist,
-    _contains_pattern_adj,
     _find_km_minus_c4_adj,
     _matching_pair_in,
-    _orbit_anchors,
 )
+from potseq.search import TARGETS
+
+RUN_LONG = bool(os.environ.get("POTSEQ_RUN_LONG"))
 
 
 def contains_k6c4(g):
@@ -199,6 +201,14 @@ def test_contains_equivalence_random_n8():
         assert contains_k6c4(g) == contains_pattern(g, K6_MINUS_C4), g.adj
 
 
+def test_one_hub_finder_matches_contains_random_n7_n8():
+    # the K5-C4 oracle's containment test rests on this finder
+    rng = random.Random(11)
+    for _ in range(10_000):
+        g = random_graph(rng, rng.choice([7, 8]), p=rng.choice([0.3, 0.5, 0.7]))
+        assert (find_km_minus_c4(g, 5) is not None) == contains_pattern(g, K5_MINUS_C4), g.adj
+
+
 def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
@@ -235,13 +245,13 @@ ANCHORED_TESTS = {
         lambda adj: _find_km_minus_c4_adj(adj, len(adj), 1) is not None,
         lambda adj, u: _find_km_minus_c4_adj(adj, len(adj), 1, adj[u] | 1 << u) is not None,
     ),
-    "generic K6-C4": (
-        lambda adj: _contains_pattern_adj(adj, len(adj), K6_MINUS_C4),
-        lambda adj, u: _contains_pattern_adj(adj, len(adj), K6_MINUS_C4, u),
+    "K6-C4 oracle test": (
+        lambda adj: TARGETS["k6-c4"].accept(adj, -1),
+        TARGETS["k6-c4"].accept,
     ),
-    "generic K5-C4": (
-        lambda adj: _contains_pattern_adj(adj, len(adj), K5_MINUS_C4),
-        lambda adj, u: _contains_pattern_adj(adj, len(adj), K5_MINUS_C4, u),
+    "K5-C4 oracle test": (
+        lambda adj: TARGETS["k5-c4"].accept(adj, -1),
+        TARGETS["k5-c4"].accept,
     ),
 }
 
@@ -275,6 +285,17 @@ def test_anchored_containment_random_n7_n8():
         check_anchored_contract(list(g.adj))
 
 
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=9..10 finder sweep")
+def test_finders_and_anchored_contract_random_n9_n10():
+    rng = random.Random(31)
+    for _ in range(60_000):
+        g = random_graph(rng, rng.choice([9, 10]), p=rng.choice([0.3, 0.5, 0.7, 0.9]))
+        for m, pattern in ((6, K6_MINUS_C4), (5, K5_MINUS_C4)):
+            assert (find_km_minus_c4(g, m) is not None) == contains_pattern(g, pattern), (m, g.adj)
+        check_anchored_contract(list(g.adj))
+
+
 def test_matching_pair_matches_list_reference():
     # every vertex set of every graph on 5 vertices, the whole of every graph
     # on 6, and random sets with gaps in larger graphs
@@ -288,14 +309,6 @@ def test_matching_pair_matches_list_reference():
         g = random_graph(rng, rng.randint(7, 12), p=rng.random())
         common = rng.getrandbits(g.n)
         assert _matching_pair_in(g.adj, common) == matching_pair_reference(g.adj, common)
-
-
-def test_orbit_anchors():
-    # hubs and quad vertices are the two orbits of either pattern
-    for pattern in (K6_MINUS_C4, K5_MINUS_C4):
-        anchors = _orbit_anchors(pattern)
-        assert [steps[0][0] for steps in anchors] == [pattern.vertex_count - 1, pattern.vertex_count - 3]
-        assert all(len(steps) == pattern.vertex_count for steps in anchors)
 
 
 # --- degree sequence --------------------------------------------------------

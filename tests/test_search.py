@@ -285,7 +285,7 @@ def reference_complete(demand, base, accept):
 
 def test_completion_engine_on_no_vertices():
     assert _complete([], [], None) == []
-    assert _complete([], [], search._has_k5c4) is None
+    assert _complete([], [], TARGETS["k5-c4"].accept) is None
 
 
 def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
@@ -337,7 +337,7 @@ def test_completion_engine_matches_reference_random():
     for _ in range(300):
         n = rng.randint(1, 9)
         demand = gnp_degrees(rng, n, rng.uniform(0.3, 0.9))
-        for accept in (search._has_k5c4, search._has_k6c4):
+        for accept in (TARGETS["k5-c4"].accept, TARGETS["k6-c4"].accept):
             empty = [0] * n
             assert _complete(demand, empty, accept) == reference_complete(demand, empty, accept), demand
 
@@ -652,7 +652,7 @@ def test_oracle_refuses_unregistered_pattern():
 def exhaustive_only(s, pattern):
     # the reference: the completion search alone, with the generic full
     # containment test, no dominance precheck and no placement witness
-    accept = lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern)
+    accept = lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern, [a.bit_count() for a in adj])
     return _complete(s.terms, [0] * s.n, accept) is not None
 
 
@@ -941,6 +941,43 @@ def test_verify_range_parallel_matches_serial():
     a, b = serial.to_dict(), parallel.to_dict()
     a.pop("wall_time"), b.pop("wall_time")
     assert a == b
+
+
+def test_verify_range_caps_the_pool(monkeypatch):
+    # a stand-in for multiprocessing.Pool that records its size and starts
+    # no process
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks, chunksize=1):
+            return map(func, tasks)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    # at most one process per task: K5-C4 at n = 5 has 20 sequences
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert verify_range(5, K5_MINUS_C4, jobs=100_000).agreements == 20
+    # and at most one per CPU the process may use
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert verify_range(6, K6_MINUS_C4, jobs=100_000).agreements == 71
+    assert verify_range(6, K6_MINUS_C4, jobs=2).agreements == 71
+    # without an affinity call, the CPU count; a single CPU runs serially
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert verify_range(6, K6_MINUS_C4, jobs=100_000).agreements == 71
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify_range(6, K6_MINUS_C4, jobs=100_000).agreements == 71
+    assert sizes == [20, 3, 2, 4]
 
 
 def test_verify_range_k5c4_n5():
