@@ -48,7 +48,6 @@ from .search import (
     NotPotentialError,
     OracleBoundError,
     RealizationCertificate,
-    SigmaSearchResult,
     VerificationReport,
     count_graphic_sequences,
     enumerate_graphic_sequences,
@@ -58,7 +57,6 @@ from .search import (
     realize_graphic,
     realize_with_k5c4,
     realize_with_k6c4,
-    sigma_search,
     verify_range,
 )
 

@@ -15,7 +15,7 @@ import sys
 from .characterize import explain
 from .graphs import encode_graph6, to_dot, to_edgelist
 from .search import (
-    TARGETS, NotPotentialError, OracleBoundError, resolve_oracle_bound, sigma_search, verify_range
+    DEFAULT_ORACLE_BOUND, TARGETS, NotPotentialError, OracleBoundError, _check_bound, verify_range
 )
 from .sequences import (
     DegreeSequence, NotationError, is_graphic, is_graphic_layoff, parse_notation, render_notation
@@ -137,7 +137,7 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.mode in ("search", "both"):
         try:
-            found = sigma_search(args.n, pattern, bound=args.oracle_bound)
+            report = verify_range(args.n, pattern, bound=args.oracle_bound)
         except OracleBoundError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -145,14 +145,14 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
         print(target.sigma_formula(args.n))
         return EXIT_YES
     if args.mode == "search":
-        print(found.value)
+        print(report.sigma)
         return EXIT_YES
     formula = target.sigma_formula(args.n)
-    witness = render_notation(found.witness) if found.witness is not None else "-"
-    print(f"formula={formula} search={found.value} witness=({witness})")
-    if formula != found.value:
+    witness = report.sigma_witness or "-"
+    print(f"formula={formula} search={report.sigma} witness=({witness})")
+    if formula != report.sigma:
         print(
-            f"error: search value {found.value} contradicts formula {formula}; "
+            f"error: search value {report.sigma} contradicts formula {formula}; "
             f"witness {witness}",
             file=sys.stderr,
         )
@@ -185,9 +185,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     # the whole range is refused before any sweep runs
     try:
-        bound = resolve_oracle_bound(args.oracle_bound)
-        if ns[-1] > bound:
-            raise OracleBoundError(f"n = {ns[-1]} exceeds the exhaustive-search bound {bound}")
+        _check_bound(ns[-1], args.oracle_bound)
     except OracleBoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -198,7 +196,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             step = max(1, total // 10)
             if done % step == 0 or done == total:
                 print(f"verify n={n}: {done}/{total}", file=sys.stderr)
-        reports.append(verify_range(n, target, bound=bound, jobs=args.jobs, progress=progress))
+        reports.append(verify_range(n, target, bound=args.oracle_bound, jobs=args.jobs, progress=progress))
     if args.json:
         payload = [r.to_dict() for r in reports]
         _emit_json(payload[0] if len(payload) == 1 else {"reports": payload})
@@ -238,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", choices=sorted(TARGETS), default="k6-c4")
     p.add_argument("--mode", choices=("formula", "search", "both"), default="both")
-    p.add_argument("--oracle-bound", type=int, default=None)
+    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("verify", help="compare decider against the exhaustive oracle")
     p.add_argument("--n", required=True, help="length, or an inclusive range like 5..8")
     p.add_argument("--target", choices=sorted(TARGETS), default="k6-c4")
     p.add_argument("--jobs", type=_positive_int, default=1)
-    p.add_argument("--oracle-bound", type=int, default=None)
+    p.add_argument("--oracle-bound", type=int, default=DEFAULT_ORACLE_BOUND)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -1,6 +1,6 @@
 """Exhaustive search machinery: realization construction, the brute-force
-potential-subgraph oracle, graphic-sequence enumeration, sigma thresholds,
-and decider-vs-oracle verification.
+potential-subgraph oracle, graphic-sequence enumeration, and
+decider-vs-oracle verification, which also reads off the sigma threshold.
 
 One completion engine, ``_complete``, serves the oracle and the realizer.
 It saturates one vertex at a time (largest residual first, neighbor sets in
@@ -109,14 +109,12 @@ from .sequences import DegreeSequence, _eg_ok, is_graphic, render_notation
 
 __all__ = [
     "DEFAULT_ORACLE_BOUND",
-    "ORACLE_BOUND_ENV",
     "OracleBoundError",
     "NotPotentialError",
     "EmbeddingFailure",
     "RealizationCertificate",
     "Mismatch",
     "VerificationReport",
-    "SigmaSearchResult",
     "realize_graphic",
     "realize_with_k6c4",
     "realize_with_k5c4",
@@ -126,14 +124,12 @@ __all__ = [
     "oracle_decide_pattern",
     "enumerate_graphic_sequences",
     "count_graphic_sequences",
-    "sigma_search",
     "verify_range",
     "Target",
     "TARGETS",
 ]
 
 DEFAULT_ORACLE_BOUND = 10
-ORACLE_BOUND_ENV = "POTSEQ_ORACLE_BOUND"
 
 
 class OracleBoundError(RuntimeError):
@@ -152,16 +148,9 @@ class EmbeddingFailure(RuntimeError):
     """No embedded realization completes; a bug signal on decider-yes input."""
 
 
-def resolve_oracle_bound(bound: int | None) -> int:
-    if bound is not None:
-        return bound
-    env = os.environ.get(ORACLE_BOUND_ENV)
-    if not env:
-        return DEFAULT_ORACLE_BOUND
-    try:
-        return int(env)
-    except ValueError:
-        raise OracleBoundError(f"{ORACLE_BOUND_ENV}={env!r} is not an integer") from None
+def _check_bound(n: int, bound: int) -> None:
+    if n > bound:
+        raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -534,16 +523,11 @@ def _first_passing(residual: list[int], cands: list[int], r: int, after: tuple[i
     return tuple([cands[p] for p in prefix])
 
 
-def _oracle_pre(seq: DegreeSequence, target: Target, bound: int | None) -> bool:
+def _oracle_pre(seq: DegreeSequence, target: Target, bound: int) -> bool:
     """Refuse sequences above the bound or not graphic; then whether the
     sorted terms dominate the pattern's sorted degrees, which any graph
     containing the pattern must do."""
-    limit = resolve_oracle_bound(bound)
-    if seq.n > limit:
-        raise OracleBoundError(
-            f"n = {seq.n} exceeds the exhaustive-search bound {limit}; "
-            f"raise it explicitly to force the run"
-        )
+    _check_bound(seq.n, bound)
     if not is_graphic(seq):
         raise ValueError(f"oracle requires a graphic sequence, got {render_notation(seq)}")
     return _dominates(seq.terms, target.pattern.degree_multiset)
@@ -573,7 +557,7 @@ def _km_c4_accept(pattern: TargetPattern) -> _Accept:
     return accept
 
 
-def oracle_decide(seq: DegreeSequence, target: Target, bound: int | None = None) -> bool:
+def oracle_decide(seq: DegreeSequence, target: Target, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """Ground truth for "potentially ``target.pattern``-graphic": *no* if
     the terms do not dominate the pattern's degrees; *yes* if the completed
     top-vertex placement has exactly the sequence's degrees and the full
@@ -590,17 +574,17 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int | None = None)
     return _complete(seq.terms, [0] * seq.n, target.accept, target.pattern) is not None
 
 
-def oracle_decide_k6c4(seq: DegreeSequence, bound: int | None = None) -> bool:
+def oracle_decide_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """``oracle_decide`` for K6 - C4."""
     return oracle_decide(seq, TARGETS["k6-c4"], bound)
 
 
-def oracle_decide_pattern(seq: DegreeSequence, pattern: TargetPattern, bound: int | None = None) -> bool:
+def oracle_decide_pattern(seq: DegreeSequence, pattern: TargetPattern, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """``oracle_decide`` for a registered pattern; ValueError otherwise."""
     return oracle_decide(seq, TARGETS[_key_of(pattern)], bound)
 
 
-def oracle_realization_k6c4(seq: DegreeSequence, bound: int | None = None) -> Graph | None:
+def oracle_realization_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOUND) -> Graph | None:
     """Some realization containing K6 - C4, or None if none exists: the
     first in the exhaustive search's order, never the placement witness."""
     target = TARGETS["k6-c4"]
@@ -783,55 +767,20 @@ def realize_with_k5c4(seq: DegreeSequence, unchecked: bool = False) -> Realizati
 
 
 # ---------------------------------------------------------------------------
-# enumeration, sigma search, verification
+# enumeration, verification
 
 
-def enumerate_graphic_sequences(n: int, min_term: int = 1) -> Iterator[DegreeSequence]:
+def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     """All graphic sequences with n positive terms, lexicographically decreasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if min_term < 1:
-        raise ValueError("min_term must be >= 1")
-    for terms in combinations_with_replacement(range(n - 1, min_term - 1, -1), n):
+    for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
         if sum(terms) % 2 == 0 and _eg_ok(terms):
             yield DegreeSequence._trusted(terms, 0, True)
 
 
 def count_graphic_sequences(n: int) -> int:
     return sum(1 for _ in enumerate_graphic_sequences(n))
-
-
-@dataclass(frozen=True)
-class SigmaSearchResult:
-    n: int
-    target: str
-    value: int
-    witness: DegreeSequence | None
-
-    @property
-    def witness_sigma(self) -> int | None:
-        return None if self.witness is None else self.witness.sigma
-
-
-def sigma_search(n: int, target: TargetPattern = K6_MINUS_C4, bound: int | None = None) -> SigmaSearchResult:
-    """Smallest even s such that every n-term positive graphic sequence with
-    sum >= s is potentially target-graphic, plus an extremal witness at s - 2.
-
-    Decided by the exhaustive oracle for every target, so the value is
-    independent of the closed-form deciders.
-    """
-    entry = TARGETS[_key_of(target)]
-    if n < target.vertex_count:
-        raise ValueError(f"sigma search for {target.name} requires n >= {target.vertex_count}")
-    limit = resolve_oracle_bound(bound)
-    if n > limit:
-        raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {limit}")
-    best: DegreeSequence | None = None
-    for seq in enumerate_graphic_sequences(n):
-        if not oracle_decide(seq, entry, limit) and (best is None or seq.sigma > best.sigma):
-            best = seq
-    value = 0 if best is None else best.sigma + 2
-    return SigmaSearchResult(n=n, target=target.name, value=value, witness=best)
 
 
 @dataclass(frozen=True)
@@ -852,7 +801,15 @@ class Mismatch:
 
 @dataclass
 class VerificationReport:
-    """Per-length comparison of the closed-form decider with the oracle."""
+    """Per-length comparison of the closed-form decider with the oracle.
+
+    ``sigma`` is the smallest even s such that every graphic sequence of
+    length n with sum >= s is potentially target-graphic: 2 more than the
+    largest sum of an oracle *no*, or 0 if there is none.  ``sigma_witness``
+    renders the first sequence in enumeration order with that largest sum,
+    or is None.  Both come from the oracle's answers alone, so they do not
+    depend on the decider.
+    """
 
     n: int
     target: str
@@ -860,6 +817,8 @@ class VerificationReport:
     agreements: int
     mismatches: list[Mismatch] = field(default_factory=list)
     wall_time: float = 0.0
+    sigma: int = 0
+    sigma_witness: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -869,6 +828,8 @@ class VerificationReport:
             "agreements": self.agreements,
             "mismatches": [m.to_dict() for m in self.mismatches],
             "wall_time": self.wall_time,
+            "sigma": self.sigma,
+            "sigma_witness": self.sigma_witness,
         }
 
     def summary(self) -> str:
@@ -889,24 +850,24 @@ def _verify_one(args: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]
 def verify_range(
     n: int,
     target: TargetPattern = K6_MINUS_C4,
-    bound: int | None = None,
+    bound: int = DEFAULT_ORACLE_BOUND,
     jobs: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> VerificationReport:
-    """Run decider and oracle on every graphic sequence of length n.
+    """Run decider and oracle on every graphic sequence of length n, and
+    read sigma and its witness off the oracle's *no* answers.
 
     Results are merged in enumeration order, so reports are identical for
     any ``jobs`` value.  The pool gets at most ``jobs`` processes, one per
     task and one per CPU this process may run on.
     """
-    limit = resolve_oracle_bound(bound)
-    if n > limit:
-        raise OracleBoundError(f"n = {n} exceeds the exhaustive-search bound {limit}")
+    _check_bound(n, bound)
     start = time.perf_counter()
     seqs = list(enumerate_graphic_sequences(n))
     key = _key_of(target)
-    tasks = [(s.terms, key, limit) for s in seqs]
+    tasks = [(s.terms, key, bound) for s in seqs]
     mismatches: list[Mismatch] = []
+    best: DegreeSequence | None = None  # the first oracle *no* of largest sum
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(jobs, len(tasks), cpus)
     pool = None
@@ -921,6 +882,8 @@ def verify_range(
         for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
             if (decision == "yes") != oracle:
                 mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))
+            if not oracle and (best is None or seq.sigma > best.sigma):
+                best = seq
             if progress is not None:
                 progress(done, len(seqs))
     return VerificationReport(
@@ -930,6 +893,8 @@ def verify_range(
         agreements=len(seqs) - len(mismatches),
         mismatches=mismatches,
         wall_time=time.perf_counter() - start,
+        sigma=0 if best is None else best.sigma + 2,
+        sigma_witness=None if best is None else render_notation(best),
     )
 
 

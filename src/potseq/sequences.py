@@ -218,15 +218,14 @@ def render_notation(seq: DegreeSequence) -> str:
     return ",".join(parts)
 
 
-def layoff(seq: DegreeSequence, k: int | None = None, raw: bool = False):
+def layoff(seq: DegreeSequence, k: int | None = None) -> DegreeSequence:
     """Lay off the k-th term (1-indexed, default the last) and return the
     residual sequence.
 
     If d_k >= k, the first d_k + 1 terms other than position k each lose one;
     otherwise the first d_k terms do.  Position k is removed and the rest
-    re-sorted non-increasing.  By default zeros produced by the subtraction
-    are stripped (and counted); with ``raw=True`` the re-sorted tuple is
-    returned with zeros retained.
+    re-sorted non-increasing.  Zeros produced by the subtraction are
+    stripped (and counted).
     """
     n = seq.n
     if k is None:
@@ -244,9 +243,6 @@ def layoff(seq: DegreeSequence, k: int | None = None, raw: bool = False):
     for i in touched:
         terms[i] -= 1
     del terms[k - 1]
-    terms.sort(reverse=True)
-    if raw:
-        return tuple(terms)
     return DegreeSequence.of(terms)
 
 

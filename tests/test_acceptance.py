@@ -39,7 +39,7 @@ from potseq.search import (
     oracle_decide_k6c4,
     realize_with_k5c4,
     realize_with_k6c4,
-    sigma_search,
+    verify_range,
 )
 from potseq.sequences import (
     DegreeSequence,
@@ -84,14 +84,25 @@ def paper_conditions_1_and_2(seq: DegreeSequence) -> bool:
     return True
 
 
+def sigma_holds(target: str, rep: dict) -> bool:
+    """sigma and its witness family, from the oracle's answers in a
+    ``verify --json`` report: 6n-10 with (n-1)^3,3^(n-3) for K6-C4, and
+    4n-4 with (n-1)^2,2^(n-2) for K5-C4."""
+    n = rep["n"]
+    if target == "k6-c4":
+        return rep["sigma"] == 6 * n - 10 and rep["sigma_witness"] == f"{n - 1}^3,3^{n - 3}"
+    return rep["sigma"] == 4 * n - 4 and rep["sigma_witness"] == f"{n - 1}^2,2^{n - 2}"
+
+
 def test_criterion_1_decider_oracle_equivalence_k6c4():
     ok = True
     for n in (6, 7, 8, 9, 10):
         code, out = run_cli(["verify", "--n", str(n), "--jobs", str(JOBS), "--json"])
         rep = json.loads(out)
         ok = ok and code == 0 and rep["mismatches"] == [] and rep["total_sequences"] > 0
+        ok = ok and sigma_holds("k6-c4", rep)
     ok = ok and rep["total_sequences"] == 11655
-    report("C1 decider-oracle equivalence, K6-C4, n=6..10", ok)
+    report("C1 decider-oracle equivalence and sigma = 6n-10, K6-C4, n=6..10", ok)
 
 
 def test_criterion_2_decider_oracle_equivalence_k5c4():
@@ -100,8 +111,9 @@ def test_criterion_2_decider_oracle_equivalence_k5c4():
     )
     reports = json.loads(out)["reports"]
     ok = code == 0 and len(reports) == 6 and all(r["mismatches"] == [] for r in reports)
+    ok = ok and all(sigma_holds("k5-c4", r) for r in reports)
     ok = ok and reports[-1]["total_sequences"] == 11655
-    report("C2 decider-oracle equivalence, K5-C4, n=5..10", ok)
+    report("C2 decider-oracle equivalence and sigma = 4n-4, K5-C4, n=5..10", ok)
 
 
 @pytest.mark.slow
@@ -112,7 +124,8 @@ def test_criterion_1_2_long_n11(target):
     code, out = run_cli(argv)
     rep = json.loads(out)
     ok = code == 0 and rep["total_sequences"] == 43332 and rep["mismatches"] == []
-    report(f"C1/C2-long decider-oracle equivalence, {target}, n=11", ok)
+    ok = ok and sigma_holds(target, rep)
+    report(f"C1/C2-long decider-oracle equivalence and sigma, {target}, n=11", ok)
 
 
 @pytest.mark.slow
@@ -123,7 +136,8 @@ def test_criterion_1_2_long_n12(target):
     code, out = run_cli(argv)
     rep = json.loads(out)
     ok = code == 0 and rep["total_sequences"] == 162769 and rep["mismatches"] == []
-    report(f"C1/C2-long decider-oracle equivalence, {target}, n=12", ok)
+    ok = ok and sigma_holds(target, rep)
+    report(f"C1/C2-long decider-oracle equivalence and sigma, {target}, n=12", ok)
 
 
 def gnp_sequences(seed, count, n_range, p_range):
@@ -154,8 +168,8 @@ def test_criterion_1_2_gnp_sequences_n11_to_13(target):
 def test_criterion_3_sigma_reproduction():
     ok = True
     for n in (6, 7, 8, 9):
-        found = sigma_search(n, K6_MINUS_C4)
-        ok = ok and found.value == sigma_formula_k6c4(n) == 6 * n - 10
+        found = verify_range(n, K6_MINUS_C4)
+        ok = ok and found.sigma == sigma_formula_k6c4(n) == 6 * n - 10
         extremal = DegreeSequence((n - 1,) * 3 + (3,) * (n - 3))
         assert extremal.sigma == 6 * n - 12
         ok = ok and decide_k6c4(extremal).reason == "COND2_SUM"

@@ -296,21 +296,12 @@ def test_verify_bound_refusal():
 
 def test_verify_range_over_bound_is_refused_before_any_sweep(monkeypatch):
     calls = []
-    monkeypatch.delenv("POTSEQ_ORACLE_BOUND", raising=False)
     monkeypatch.setattr(cli, "verify_range", lambda *a, **k: calls.append(a))
     code, out, err = run(["verify", "--n", "10..11"])
     assert code == 2
     assert calls == []
     assert out == ""
     assert err.startswith("error: n = 11 exceeds the exhaustive-search bound 10")
-
-
-def test_verify_bad_bound_environment_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("POTSEQ_ORACLE_BOUND", "abc")
-    code, out, err = run(["verify", "--n", "6"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and "POTSEQ_ORACLE_BOUND" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

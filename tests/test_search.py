@@ -37,7 +37,6 @@ from potseq.search import (
     realize_graphic,
     realize_with_k5c4,
     realize_with_k6c4,
-    sigma_search,
     verify_range,
 )
 from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation
@@ -617,12 +616,6 @@ def test_oracle_refuses_above_bound():
     assert oracle_decide_k6c4(s, bound=12) is False
 
 
-def test_oracle_bound_env_override(monkeypatch):
-    monkeypatch.setenv("POTSEQ_ORACLE_BOUND", "4")
-    with pytest.raises(OracleBoundError):
-        oracle_decide_k6c4(DegreeSequence((1, 1, 1, 1, 1, 1)))
-
-
 def test_oracle_requires_graphic_input():
     with pytest.raises(ValueError):
         oracle_decide_k6c4(seq("3^3,1"))
@@ -888,40 +881,45 @@ def test_enumeration_records_graphicity():
             assert s._graphic is True and _eg_ok(s.terms), s.terms
 
 
-def test_enumeration_min_term():
-    only_cubic_or_more = list(enumerate_graphic_sequences(6, min_term=3))
-    assert all(s.terms[-1] >= 3 for s in only_cubic_or_more)
-    assert (3, 3, 3, 3, 3, 3) in [s.terms for s in only_cubic_or_more]
-
-
-# --- sigma search -----------------------------------------------------------
+# --- sigma, read off the verification sweep ----------------------------------
 
 
 def test_sigma_search_n6():
-    res = sigma_search(6, K6_MINUS_C4)
-    assert res.value == 26
-    assert render_notation(res.witness) == "5^3,3^3"
-    assert res.witness_sigma == 24
+    res = verify_range(6, K6_MINUS_C4)
+    assert res.sigma == 26
+    assert res.sigma_witness == "5^3,3^3"
+    assert parse_notation(res.sigma_witness).sigma == 24
 
 
 def test_sigma_search_n7_witness():
-    res = sigma_search(7, K6_MINUS_C4)
-    assert res.value == 32
-    assert render_notation(res.witness) == "6^3,3^4"
+    res = verify_range(7, K6_MINUS_C4)
+    assert res.sigma == 32
+    assert res.sigma_witness == "6^3,3^4"
 
 
 def test_sigma_search_k5c4():
     # the largest non-potential sum at n=5 is 14, first reached by the
     # family instance (4,4,2^3); frozen from the oracle-backed search
-    res = sigma_search(5, K5_MINUS_C4)
-    assert res.value == 16
-    assert render_notation(res.witness) == "4^2,2^3"
-    assert res.witness_sigma == 14
+    res = verify_range(5, K5_MINUS_C4)
+    assert res.sigma == 16
+    assert res.sigma_witness == "4^2,2^3"
+    assert parse_notation(res.sigma_witness).sigma == 14
 
 
 def test_sigma_search_bound():
     with pytest.raises(OracleBoundError):
-        sigma_search(12, K6_MINUS_C4)
+        verify_range(12, K6_MINUS_C4)
+
+
+def test_sigma_comes_from_the_oracle_alone(monkeypatch):
+    # a decider that always answers yes is wrong on every oracle no, and
+    # sigma and its witness stay those of the oracle
+    yes = decide_k6c4(seq("5^6"))
+    monkeypatch.setitem(TARGETS, "k6-c4", dataclasses.replace(TARGETS["k6-c4"], decide=lambda s: yes))
+    res = verify_range(7, K6_MINUS_C4)
+    assert res.mismatches and all(m.decider == "yes" and not m.oracle for m in res.mismatches)
+    assert res.sigma == 32
+    assert res.sigma_witness == "6^3,3^4"
 
 
 # --- verification -----------------------------------------------------------
@@ -1007,6 +1005,5 @@ def test_serial_verify_does_not_import_multiprocessing():
     )
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("POTSEQ_ORACLE_BOUND", None)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr

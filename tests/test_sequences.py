@@ -255,16 +255,12 @@ def test_sigma(text, value):
 
 def test_layoff_small_term():
     assert layoff(seq("4,3,3,2,1,1"), 6).terms == (3, 3, 3, 2, 1)
+    normalized = layoff(seq("1,1"), 2)
+    assert normalized.terms == () and normalized.stripped_zeros == 1
 
 
 def test_layoff_resorts():
     assert layoff(seq("5^2,4^6"), 8).terms == (4, 4, 4, 4, 4, 3, 3)
-
-
-def test_layoff_raw_keeps_zeros():
-    assert layoff(seq("1,1"), 2, raw=True) == (0,)
-    normalized = layoff(seq("1,1"), 2)
-    assert normalized.terms == () and normalized.stripped_zeros == 1
 
 
 def test_layoff_large_term_excludes_own_position():
