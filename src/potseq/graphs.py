@@ -7,6 +7,7 @@ subgraph.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -32,9 +33,49 @@ __all__ = [
 ]
 
 
+# The adjacency of up to 64 vertices as a 64x64 bit matrix, one row per
+# 64-bit stride: bit c of row r sits at 64 * r + c.  _DIAG holds the loop
+# bits; delta swap j exchanges bit (r, c + j) with bit (r + j, c), 63 * j
+# places higher, wherever bit j of both r and c is 0, and the six swaps for
+# j = 32, 16, ..., 1 transpose the matrix (Warren, Hacker's Delight, 7-3).
+_DIAG = sum(1 << 65 * i for i in range(64))
+_SWAPS = tuple(
+    (63 * j, sum(1 << c for c in range(64) if c & j) * sum(1 << 64 * r for r in range(64) if not r & j))
+    for j in (32, 16, 8, 4, 2, 1)
+)
+
+
+def _simple_by_transpose(adj: tuple[int, ...], n: int) -> bool:
+    """Whether the rows ``adj`` of n <= 64 vertices are an adjacency matrix
+    with no loop, no bit at or above n, and equal to its transpose."""
+    try:
+        t = packed = int.from_bytes(struct.pack(f"<{n}Q", *adj), "little")
+    except struct.error:  # a negative row, or a bit at or above 64
+        return False
+    if packed & _DIAG:
+        return False
+    for shift, mask in _SWAPS:
+        x = ((t >> shift) ^ t) & mask
+        t ^= x ^ (x << shift)
+    # a bit at or above n lands in a row past n, which packed leaves empty
+    return t == packed
+
+
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple undirected graph; ``adj[u]`` is a neighbor bitmask."""
+    """Immutable simple undirected graph; ``adj[u]`` is a neighbor bitmask.
+
+    Construction checks the rows by one of two routes.  With at most 64
+    vertices they are packed into a 64x64 bit matrix, and a few big-integer
+    operations test the rows' range, find loops and compare the matrix with
+    its transpose.  Past 64 vertices, and whenever that test fails, a scan
+    row by row and pair by pair does the check and names the first bad
+    vertex or pair.  The cut follows from the input size: a packed test's
+    masks and operands grow as the square of its stride (32 MiB per mask
+    for the 2**14-bit stride that n = 10**4 needs), while the scan takes a
+    few steps per vertex and per edge, which on the sparse graphs of long
+    sequences is far less work.
+    """
 
     n: int
     adj: tuple[int, ...]
@@ -43,6 +84,8 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError("adjacency length != n")
         adj = self.adj
+        if self.n <= 64 and _simple_by_transpose(adj, self.n):
+            return
         full = (1 << self.n) - 1
         for u, mask in enumerate(adj):
             if mask >> u & 1:

@@ -876,9 +876,11 @@ def verify_range(
 
         pool = Pool(processes=workers)
     with pool or nullcontext():
-        # large chunks at large n: a call is cheap next to pickling a task
-        chunks = max(8, len(tasks) // (workers * 64))
-        results = pool.imap(_verify_one, tasks, chunksize=chunks) if pool else map(_verify_one, tasks)
+        if pool:
+            # large chunks at large n: a call is cheap next to pickling a task
+            results = pool.imap(_verify_one, tasks, chunksize=max(8, len(tasks) // (workers * 64)))
+        else:
+            results = map(_verify_one, tasks)
         for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
             if (decision == "yes") != oracle:
                 mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))

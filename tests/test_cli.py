@@ -280,6 +280,18 @@ def test_verify_range_expression():
     assert "n=5" in out and "n=6" in out
 
 
+@pytest.mark.parametrize("target, name", [("k6-c4", "K6-C4"), ("k5-c4", "K5-C4")])
+def test_verify_accepts_n_one(target, name):
+    # every length of at least 1, including one with no graphic sequence
+    code, out, _ = run(["verify", "--n", "1..3", "--target", target])
+    assert code == 0
+    assert out.splitlines() == [
+        f"n=1 target={name}: 0 sequences checked, 0 mismatches",
+        f"n=2 target={name}: 1 sequences checked, 0 mismatches",
+        f"n=3 target={name}: 2 sequences checked, 0 mismatches",
+    ]
+
+
 @pytest.mark.parametrize("n", ["0", "-1", "0..3"])
 def test_verify_rejects_n_below_one(n):
     code, out, err = run(["verify", "--n", n])

@@ -52,30 +52,96 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
 
 
-def first_asymmetric_pair(n, adj):
+def reference_check(n, adj):
+    """Graph's checks as a plain scan, row by row and then pair by pair:
+    raises the ValueError that names the first bad vertex or pair."""
+    full = (1 << n) - 1
+    for u, mask in enumerate(adj):
+        if mask >> u & 1:
+            raise ValueError(f"loop at vertex {u}")
+        if mask & ~full:
+            raise ValueError(f"neighbor bit out of range at vertex {u}")
     for u in range(n):
         for v in range(u + 1, n):
             if (adj[u] >> v & 1) != (adj[v] >> u & 1):
-                return u, v
+                raise ValueError(f"asymmetric adjacency at ({u},{v})")
+
+
+def outcome(check, n, adj):
+    """None if ``check(n, adj)`` accepts, else its ValueError's message."""
+    try:
+        check(n, adj)
+    except ValueError as exc:
+        return str(exc)
     return None
 
 
+def assert_checked_like_reference(n, adj):
+    expected = outcome(reference_check, n, adj)
+    assert outcome(Graph, n, adj) == expected, (n, adj)
+    if expected is None:
+        assert Graph(n, adj).adj == adj
+
+
 def test_graph_validation_names_first_asymmetric_pair():
-    # random symmetric graphs with a few bits flipped, against a plain scan
-    # of the pairs in order
+    # random graphs on both sides of the packed check's 64-vertex cut, with
+    # a few rows corrupted: a flipped pair, a loop bit, a bit at or above n,
+    # a negative row
     rng = random.Random(17)
-    for _ in range(5_000):
-        n = rng.randint(1, 9)
-        adj = list(random_graph(rng, n, rng.random()).adj)
-        for _ in range(rng.randint(0, 3) if n > 1 else 0):
-            u, v = rng.sample(range(n), 2)
-            adj[u] ^= 1 << v
-        pair = first_asymmetric_pair(n, adj)
-        if pair is None:
-            assert Graph(n, tuple(adj)).adj == tuple(adj)
-        else:
-            with pytest.raises(ValueError, match=rf"^asymmetric adjacency at \({pair[0]},{pair[1]}\)$"):
-                Graph(n, tuple(adj))
+    for n in range(67):
+        for _ in range(40):
+            adj = list(random_graph(rng, n, rng.random()).adj)
+            for _ in range(rng.randint(0, 3) if n else 0):
+                u = rng.randrange(n)
+                kind = rng.randrange(4)
+                if kind == 0 and n > 1:
+                    adj[u] ^= 1 << rng.choice([v for v in range(n) if v != u])
+                elif kind == 1:
+                    adj[u] |= 1 << u
+                elif kind == 2:
+                    adj[u] |= 1 << rng.randrange(n, max(n, 64) + 2)
+                elif kind == 3:
+                    adj[u] = -rng.randint(1, 1 << n + 1)
+            assert_checked_like_reference(n, tuple(adj))
+
+
+def test_graph_validation_exhaustive_n5():
+    # every labeled graph on at most 5 vertices, and each one-bit
+    # corruption of a row: a flipped pair, a loop bit or the bit at n
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+            assert_checked_like_reference(n, g.adj)
+            for u in range(n):
+                for bit in range(n + 1):
+                    adj = list(g.adj)
+                    adj[u] ^= 1 << bit
+                    assert_checked_like_reference(n, tuple(adj))
+
+
+def test_packed_check_alone_decides_up_to_64_vertices():
+    # the scan runs only after the packed check fails, so on its own the
+    # packed check must accept every simple graph and refuse any one-bit
+    # corruption of it, and any negative row
+    from potseq.graphs import _simple_by_transpose
+
+    rng = random.Random(64)
+    for n in range(65):
+        for _ in range(10):
+            adj = random_graph(rng, n, rng.random()).adj
+            assert _simple_by_transpose(adj, n)
+            if not n:
+                continue
+            u = rng.randrange(n)
+            for row, bad in (
+                (u, adj[u] ^ 1 << rng.randrange(66)),
+                (n - 1, adj[n - 1] | 1 << n - 1),  # the last diagonal bit
+                (u, adj[u] | 1 << n),
+                (u, -rng.randint(1, 1 << n)),
+            ):
+                corrupted = adj[:row] + (bad,) + adj[row + 1 :]
+                assert not _simple_by_transpose(corrupted, n)
 
 
 def test_graph_accessors():

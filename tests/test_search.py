@@ -978,6 +978,22 @@ def test_verify_range_caps_the_pool(monkeypatch):
     assert sizes == [20, 3, 2, 4]
 
 
+@pytest.mark.parametrize("pattern", [K6_MINUS_C4, K5_MINUS_C4])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_range_length_without_sequences(monkeypatch, pattern, jobs):
+    # n = 1 has no graphic sequence (zeros are stripped), so there is
+    # nothing to split among workers and no pool to start
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    rep = verify_range(1, pattern, jobs=jobs)
+    assert (rep.total_sequences, rep.agreements, rep.mismatches) == (0, 0, [])
+    assert rep.sigma == 0 and rep.sigma_witness is None
+
+
 def test_verify_range_k5c4_n5():
     rep = verify_range(5, K5_MINUS_C4)
     assert rep.total_sequences == 20
