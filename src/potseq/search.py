@@ -92,8 +92,9 @@ import os
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement, compress, dropwhile
-from operator import ge
+from functools import cache
+from itertools import combinations, combinations_with_replacement, compress, dropwhile, repeat
+from operator import eq, ge, sub
 from typing import Callable, Iterator, Sequence
 
 from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
@@ -569,7 +570,8 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int = DEFAULT_ORAC
     if found is not None:
         adj = found[0]
         # every row: a padded witness must not pass on its first n rows
-        if tuple(map(int.bit_count, adj)) == seq.terms and target.accept(adj, -1):
+        # a display: see _role_assignments
+        if (*map(int.bit_count, adj),) == seq.terms and target.accept(adj, -1):
             return True
     return _complete(seq.terms, [0] * seq.n, target.accept, target.pattern) is not None
 
@@ -668,62 +670,109 @@ def _placement_class(d: Sequence[int], m: int, hubs: tuple[int, ...], pairs: tup
     return hub_key, pair_key
 
 
-def _role_assignments(d: Sequence[int], m: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """Candidate (hubs, matched pairs) placements on hosts 0..m-1, deduplicated.
+class _Placement(tuple):
+    """One placement of K_m - C4 on hosts 0..m-1, which is the pair
+    (hubs, pairs) in the certificate's form: the hubs ascend, each pair
+    ascends, and the pairs are in order.  It carries what a call needs: the
+    last hub and the last quad vertex, which the bounds test reads, and
+    per host its base row and its demand offset (m - 1 for a hub, m - 3
+    for a quad vertex)."""
 
-    Two placements with equal hub residual multisets and equal multisets of
-    per-pair residual pairs yield isomorphic completion problems, so only the
-    first of each class is yielded.  Lazy, since the first placement
-    usually completes: its class key is built only when the generator is
-    resumed.  ``d`` is non-increasing and ``combinations`` yields ascending
-    tuples, so the last hub and the last quad vertex have the smallest
-    degrees of their roles, and only they are tested against the bounds.
-    """
-    seen = None
+    def __new__(cls, m: int, hubs: tuple[int, ...], quad: list[int], pairs: tuple) -> _Placement:
+        self = super().__new__(cls, (hubs, pairs))
+        top = (1 << m) - 1
+        hub_mask = sum(1 << h for h in hubs)
+        self.last_hub = hubs[-1]
+        self.last_quad = quad[-1]
+        self.base = [top ^ 1 << v if v in hubs else hub_mask for v in range(m)]
+        for a, b in pairs:
+            self.base[a] |= 1 << b
+            self.base[b] |= 1 << a
+        self.offsets = tuple(m - 1 if v in hubs else m - 3 for v in range(m))
+        return self
+
+
+@cache
+def _placements(m: int) -> list[_Placement]:
+    """Every placement on hosts 0..m-1 in placement order: the hub sets of
+    ``combinations``, each with the pairings of its quad vertices in the
+    order (0,2,1,3), (0,1,2,3), (0,3,1,2).  Built on first use, not at
+    import, like the class lists."""
+    rows = []
     for hubs in combinations(range(m), m - 4):
-        if d[hubs[-1]] < m - 1:
-            continue
         quad = [v for v in range(m) if v not in hubs]
-        if d[quad[-1]] < m - 3:
-            continue
         # diagonal pairing first so a zero-demand completion reproduces the
         # pattern constant exactly
         for a, b, c, e in ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)):
-            pairs = ((quad[a], quad[b]), (quad[c], quad[e]))
-            if seen is None:
-                yield hubs, pairs
-                seen = {_placement_class(d, m, hubs, pairs)}
-                continue
-            key = _placement_class(d, m, hubs, pairs)
-            if key in seen:
-                continue
+            rows.append(_Placement(m, hubs, quad, ((quad[a], quad[b]), (quad[c], quad[e]))))
+    return rows
+
+
+@cache
+def _class_list(shape: tuple[bool, ...]) -> list[tuple[int, int, _Placement]]:
+    """The placements that open a class, in placement order, with their
+    last hub and last quad vertex, for top terms of run shape ``shape``
+    (``shape[i]``: whether terms i and i + 1 are equal)."""
+    m = len(shape) + 1
+    # minus the run index: top terms of this shape (see _role_assignments)
+    d = [0]
+    for same in shape:
+        d.append(d[-1] - (not same))
+    seen = set()
+    classes = []
+    for row in _placements(m):
+        key = _placement_class(d, m, *row)
+        if key not in seen:
             seen.add(key)
-            yield hubs, pairs
+            classes.append((row.last_hub, row.last_quad, row))
+    return classes
 
 
-def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], tuple[int, ...], tuple] | None:
+def _role_assignments(d: Sequence[int], m: int) -> list[_Placement]:
+    """Candidate (hubs, matched pairs) placements on hosts 0..m-1, one per
+    class, in placement order, that pass the bounds.  ``d`` is
+    non-increasing, with at least m terms.
+
+    Two placements with equal hub residual multisets and equal multisets of
+    per-pair residual pairs (``_placement_class``) yield isomorphic
+    completion problems, so only the first of each class is kept.
+
+    Classes are a function of the run shape.  Class keys compare values
+    only through sorting and equality.  Relabeling each of the top m values
+    by minus its run index is injective and order-preserving, so it maps
+    equal keys to equal keys and unequal to unequal, and the classes of
+    ``d`` are those of any top terms with its run shape.  ``_class_list``
+    finds them once per shape.
+
+    Filtering commutes with deduplication.  ``combinations`` yields
+    ascending hub sets and ``d`` is non-increasing, so the last hub and the
+    last quad vertex have the least terms of their roles; the bounds, last
+    hub >= m - 1 and last quad vertex >= m - 3, say that the least hub
+    residual and the least pair residual are >= 0, and a class key fixes
+    both.  So a class passes or fails as a whole, and filtering the class
+    list keeps the first member of each passing class, as deduplicating
+    the filtered placements would.
+
+    The bounds are the only test.  A hub's demand is its term minus m - 1
+    and a quad vertex's its term minus m - 3; the tail's demands are its
+    positive terms.  So the bounds hold exactly when no demand is negative.
+    """
+    # a display, not tuple(map(...)): a tuple built from an iterator is
+    # resized, and freed into a free list it never takes from
+    shape = (*map(eq, d, d[1:m]),)
+    return [row for h, q, row in _class_list(shape) if d[h] >= m - 1 and d[q] >= m - 3]
+
+
+def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | None:
     """The first completion, in placement order, of a graph with degrees
     ``d`` (non-increasing, at least m terms) that has K_m - C4 on vertices
-    0..m-1, as (adjacency, hubs, pairs); None when no placement completes."""
-    n = len(d)
-    top = (1 << m) - 1
-    for hubs, pairs in _role_assignments(d, m):
-        hub_mask = sum(1 << h for h in hubs)
-        base = [hub_mask] * m + [0] * (n - m)
-        demand = list(d)
-        for v in range(m):
-            demand[v] -= m - 3
-        for h in hubs:
-            base[h] = top ^ 1 << h
-            demand[h] -= 2
-        for a, b in pairs:
-            base[a] |= 1 << b
-            base[b] |= 1 << a
-        if min(demand) < 0:
-            continue
-        adj = _complete(demand, base, None)
+    0..m-1, as (adjacency, placement); None when no placement completes."""
+    tail = d[m:]
+    zeros = [0] * len(tail)
+    for row in _role_assignments(d, m):
+        adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None)
         if adj is not None:
-            return adj, hubs, pairs
+            return adj, row
     return None
 
 
@@ -744,9 +793,8 @@ def _realize_with_km_c4(
         raise EmbeddingFailure(
             f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
         )
-    adj, hubs, pairs = found
-    pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
-    cert = RealizationCertificate(Graph(n, tuple(adj)), tuple(range(m)), tuple(sorted(hubs)), pairs)
+    adj, (hubs, pairs) = found
+    cert = RealizationCertificate(Graph(n, tuple(adj)), tuple(range(m)), hubs, pairs)
     cert.revalidate(seq)
     return cert
 
@@ -839,12 +887,16 @@ class VerificationReport:
         )
 
 
-def _verify_one(args: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]:
-    terms, key, bound = args
-    seq = DegreeSequence._trusted(terms, 0, True)  # terms of an enumerated sequence
-    target = TARGETS[key]
+def _verify_one(seq: DegreeSequence, target: Target, bound: int) -> tuple[str, str, bool]:
     verdict = target.decide(seq)
     return (verdict.decision, verdict.reason, oracle_decide(seq, target, bound))
+
+
+def _verify_terms(task: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]:
+    """A pool's task: ``_verify_one`` on the enumerated sequence with these
+    terms, which a task carries instead of the object."""
+    terms, key, bound = task
+    return _verify_one(DegreeSequence._trusted(terms, 0, True), TARGETS[key], bound)
 
 
 def verify_range(
@@ -865,11 +917,10 @@ def verify_range(
     start = time.perf_counter()
     seqs = list(enumerate_graphic_sequences(n))
     key = _key_of(target)
-    tasks = [(s.terms, key, bound) for s in seqs]
     mismatches: list[Mismatch] = []
     best: DegreeSequence | None = None  # the first oracle *no* of largest sum
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs, len(tasks), cpus)
+    workers = min(jobs, len(seqs), cpus)
     pool = None
     if workers > 1:
         from multiprocessing import Pool  # imported here: a serial run never pays for it
@@ -878,9 +929,10 @@ def verify_range(
     with pool or nullcontext():
         if pool:
             # large chunks at large n: a call is cheap next to pickling a task
-            results = pool.imap(_verify_one, tasks, chunksize=max(8, len(tasks) // (workers * 64)))
+            tasks = [(s.terms, key, bound) for s in seqs]
+            results = pool.imap(_verify_terms, tasks, chunksize=max(8, len(tasks) // (workers * 64)))
         else:
-            results = map(_verify_one, tasks)
+            results = map(_verify_one, seqs, repeat(TARGETS[key]), repeat(bound))
         for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
             if (decision == "yes") != oracle:
                 mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))

@@ -577,6 +577,95 @@ def test_role_assignments_keep_placement_order():
     assert cases == 7007
 
 
+def reference_placement_problems(d, m):
+    """The completion problems, as (demand, base), that the realizer's
+    placement poses in order when each placement's hub mask, base rows and
+    demands are built on every call, and its adjacency, or None."""
+    n = len(d)
+    top = (1 << m) - 1
+    problems = []
+    for hubs, pairs in reference_role_assignments(d, m):
+        hub_mask = sum(1 << h for h in hubs)
+        base = [hub_mask] * m + [0] * (n - m)
+        demand = list(d)
+        for v in range(m):
+            demand[v] -= m - 3
+        for h in hubs:
+            base[h] = top ^ 1 << h
+            demand[h] -= 2
+        for a, b in pairs:
+            base[a] |= 1 << b
+            base[b] |= 1 << a
+        if min(demand) < 0:
+            continue
+        problems.append((demand, base))
+        adj = _complete(demand, base, None)
+        if adj is not None:
+            return problems, adj
+    return problems, None
+
+
+def placements_pose_reference_problems(monkeypatch, tops):
+    # ``_place_km_c4`` hands the completion engine the reference's problems,
+    # in the reference's order, and returns the same adjacency
+    engine = search._complete
+    problems = []
+
+    def recorded(demand, base, accept):
+        problems.append((list(demand), list(base)))
+        return engine(demand, base, accept)
+
+    monkeypatch.setattr(search, "_complete", recorded)
+    counts = []
+    for d, m in tops:
+        del problems[:]
+        found = search._place_km_c4(d, m)
+        expected, adj = reference_placement_problems(d, m)
+        assert problems == expected, (d, m)
+        assert (None if found is None else found[0]) == adj, (d, m)
+        counts.append(len(problems))
+    return counts
+
+
+def test_placements_pose_reference_problems_on_top_tuples(monkeypatch):
+    # the top tuples of test_role_assignments_keep_placement_order
+    tops = [
+        (top + (1, 1, 1), m)
+        for m in (5, 6)
+        for top in itertools.combinations_with_replacement(range(10, 0, -1), m)
+    ]
+    assert len(tops) == 7007
+    counts = placements_pose_reference_problems(monkeypatch, tops)
+    assert sum(counts) == 21108 and counts.count(0) == 4053 and max(counts) == 45
+
+
+def test_placements_pose_reference_problems_on_gnp(monkeypatch):
+    # seeded G(n,p) sequences at the realize-stream benchmark's sizes, whose
+    # first placement completes or fails the bounds; decider-rejected
+    # sequences add placements that do not complete
+    rng = random.Random(19)
+    sample = [DegreeSequence.of(gnp_degrees(rng, 8 + i % 25, rng.uniform(0.1, 0.7))) for i in range(400)]
+    sample += [seq(text) for text in ("5^2,4^6", "5^3,3^3", "6^2,3^6", "4^2,2^3")]
+    tops = [(s.terms, m) for s in sample for m in (6, 5) if s.n >= m]
+    counts = placements_pose_reference_problems(monkeypatch, tops)
+    assert len(tops) == 801 and sum(counts) == 731 and counts.count(0) == 70
+
+
+def test_placement_tables_share_rows():
+    # one class list per run shape of the top m terms (2**4 for m = 5, 2**5
+    # for m = 6), all of them built from the same rows
+    for m in (5, 6):
+        for top in itertools.combinations_with_replacement(range(10, 0, -1), m):
+            search._role_assignments(top + (1, 1, 1), m)
+    assert search._class_list.cache_info().currsize == 16 + 32
+    rows = {id(row) for m in (5, 6) for row in search._placements(m)}
+    assert len(rows) == 15 + 45
+    for m in (5, 6):
+        for shape in itertools.product((False, True), repeat=m - 1):
+            assert {id(row) for _, _, row in search._class_list(shape)} <= rows
+    assert search._class_list.cache_info().currsize == 16 + 32
+
+
 # --- oracle -----------------------------------------------------------------
 
 
@@ -939,6 +1028,24 @@ def test_verify_range_parallel_matches_serial():
     a, b = serial.to_dict(), parallel.to_dict()
     a.pop("wall_time"), b.pop("wall_time")
     assert a == b
+
+
+def test_serial_verify_passes_the_enumerated_sequences(monkeypatch):
+    # a serial run builds each sequence once, in the enumeration; only a
+    # pool's tasks carry terms to rebuild from
+    trusted = DegreeSequence._trusted.__func__
+    built = []
+
+    def counted(cls, *args):
+        built.append(args[0])
+        return trusted(cls, *args)
+
+    # the first run loads the decider's exception table, which parses
+    verify_range(8, K6_MINUS_C4)
+    monkeypatch.setattr(DegreeSequence, "_trusted", classmethod(counted))
+    rep = verify_range(8, K6_MINUS_C4)
+    assert rep.total_sequences == 871
+    assert len(built) == 871
 
 
 def test_verify_range_caps_the_pool(monkeypatch):
