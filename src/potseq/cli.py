@@ -195,7 +195,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         def progress(done: int, total: int, n: int = n) -> None:
             step = max(1, total // 10)
             if done % step == 0 or done == total:
-                print(f"verify n={n}: {done}/{total}", file=sys.stderr)
+                print(f"verify n={n}: {done}/{total} shards", file=sys.stderr)
         reports.append(verify_range(n, target, bound=args.oracle_bound, jobs=args.jobs, progress=progress))
     if args.json:
         payload = [r.to_dict() for r in reports]

@@ -84,6 +84,11 @@ success, so the first success is the same as without the cut, and so are
 the oracle's answers and realizations.  Skipping the test is always safe:
 the ways in which it is skipped, or passes without a search, are in
 ``_bound_test``'s docstring.
+
+``verify_range`` streams the enumeration in shards, one per leading pair
+(d1, d2) of terms.  Each shard is a contiguous run of the enumeration, so
+the shards' results, merged in task order, are those of one pass over it,
+in this process or in a pool, and no list of sequences is ever built.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import combinations, combinations_with_replacement, compress, dropwhile, repeat
+from itertools import combinations, combinations_with_replacement, compress, dropwhile
 from operator import eq, ge, sub
 from typing import Callable, Iterator, Sequence
 
@@ -822,7 +827,14 @@ def enumerate_graphic_sequences(n: int) -> Iterator[DegreeSequence]:
     """All graphic sequences with n positive terms, lexicographically decreasing."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    for terms in combinations_with_replacement(range(n - 1, 0, -1), n):
+    return _graphic_from(n, ())
+
+
+def _graphic_from(n: int, head: tuple[int, ...]) -> Iterator[DegreeSequence]:
+    """The graphic sequences of length n that start with ``head``, in
+    enumeration order (``head`` non-increasing, its terms in 1..n-1)."""
+    for rest in combinations_with_replacement(range(head[-1] if head else n - 1, 0, -1), n - len(head)):
+        terms = head + rest
         if sum(terms) % 2 == 0 and _eg_ok(terms):
             yield DegreeSequence._trusted(terms, 0, True)
 
@@ -887,16 +899,24 @@ class VerificationReport:
         )
 
 
-def _verify_one(seq: DegreeSequence, target: Target, bound: int) -> tuple[str, str, bool]:
-    verdict = target.decide(seq)
-    return (verdict.decision, verdict.reason, oracle_decide(seq, target, bound))
-
-
-def _verify_terms(task: tuple[tuple[int, ...], str, int]) -> tuple[str, str, bool]:
-    """A pool's task: ``_verify_one`` on the enumerated sequence with these
-    terms, which a task carries instead of the object."""
-    terms, key, bound = task
-    return _verify_one(DegreeSequence._trusted(terms, 0, True), TARGETS[key], bound)
+def _verify_shard(task: tuple[int, tuple[int, int], str, int]) -> tuple[int, list[Mismatch], DegreeSequence | None]:
+    """Decider and oracle on the sequences of length n that start with
+    ``head``: their count, the mismatches in enumeration order, and the
+    first oracle *no* of largest sum (or None)."""
+    n, head, key, bound = task
+    target = TARGETS[key]
+    count = 0
+    mismatches: list[Mismatch] = []
+    best: DegreeSequence | None = None
+    for seq in _graphic_from(n, head):
+        count += 1
+        verdict = target.decide(seq)
+        oracle = oracle_decide(seq, target, bound)
+        if (verdict.decision == "yes") != oracle:
+            mismatches.append(Mismatch(render_notation(seq), verdict.decision, verdict.reason, oracle))
+        if not oracle and (best is None or seq.sigma > best.sigma):
+            best = seq
+    return count, mismatches, best
 
 
 def verify_range(
@@ -909,42 +929,42 @@ def verify_range(
     """Run decider and oracle on every graphic sequence of length n, and
     read sigma and its witness off the oracle's *no* answers.
 
-    Results are merged in enumeration order, so reports are identical for
-    any ``jobs`` value.  The pool gets at most ``jobs`` processes, one per
-    task and one per CPU this process may run on.
+    ``_verify_shard`` runs one shard per leading pair (d1, d2), serially or
+    in a pool of at most ``jobs`` processes, one per shard and one per CPU
+    this process may run on.  Shard results are merged in enumeration
+    order, a witness replacing the current one only on a strictly larger
+    sum, so reports are identical for any ``jobs`` value, and memory does
+    not grow with the number of sequences.  ``progress(done, total)``
+    counts shards.
     """
     _check_bound(n, bound)
     start = time.perf_counter()
-    seqs = list(enumerate_graphic_sequences(n))
     key = _key_of(target)
+    tasks = [(n, (a, b), key, bound) for a in range(n - 1, 0, -1) for b in range(a, 0, -1)]
+    total = 0
     mismatches: list[Mismatch] = []
     best: DegreeSequence | None = None  # the first oracle *no* of largest sum
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs, len(seqs), cpus)
+    workers = min(jobs, len(tasks), cpus)
     pool = None
     if workers > 1:
         from multiprocessing import Pool  # imported here: a serial run never pays for it
 
         pool = Pool(processes=workers)
     with pool or nullcontext():
-        if pool:
-            # large chunks at large n: a call is cheap next to pickling a task
-            tasks = [(s.terms, key, bound) for s in seqs]
-            results = pool.imap(_verify_terms, tasks, chunksize=max(8, len(tasks) // (workers * 64)))
-        else:
-            results = map(_verify_one, seqs, repeat(TARGETS[key]), repeat(bound))
-        for done, (seq, (decision, reason, oracle)) in enumerate(zip(seqs, results), 1):
-            if (decision == "yes") != oracle:
-                mismatches.append(Mismatch(render_notation(seq), decision, reason, oracle))
-            if not oracle and (best is None or seq.sigma > best.sigma):
-                best = seq
+        results = pool.imap(_verify_shard, tasks) if pool else map(_verify_shard, tasks)
+        for done, (count, shard_mismatches, witness) in enumerate(results, 1):
+            total += count
+            mismatches += shard_mismatches
+            if witness is not None and (best is None or witness.sigma > best.sigma):
+                best = witness
             if progress is not None:
-                progress(done, len(seqs))
+                progress(done, len(tasks))
     return VerificationReport(
         n=n,
         target=target.name,
-        total_sequences=len(seqs),
-        agreements=len(seqs) - len(mismatches),
+        total_sequences=total,
+        agreements=total - len(mismatches),
         mismatches=mismatches,
         wall_time=time.perf_counter() - start,
         sigma=0 if best is None else best.sigma + 2,

@@ -98,8 +98,8 @@ class DegreeSequence:
         skipping the check in ``__post_init__``.
 
         A caller that has just decided graphicality of exactly these terms
-        (``enumerate_graphic_sequences`` and ``verify_range``'s per-sequence
-        job, on enumerated terms) passes it as ``graphic``; it is stored as
+        (the enumeration behind ``enumerate_graphic_sequences`` and
+        ``verify_range``'s shards) passes it as ``graphic``; it is stored as
         the answer :func:`is_graphic` returns.  Any other caller leaves it
         None."""
         self = object.__new__(cls)

@@ -970,6 +970,21 @@ def test_enumeration_records_graphicity():
             assert s._graphic is True and _eg_ok(s.terms), s.terms
 
 
+def test_shards_cover_the_enumeration():
+    # verify_range's shards, one per leading pair (d1, d2) in task order,
+    # concatenate to the enumeration and to the plain filter over all tuples
+    for n in range(1, 12):
+        shards = [
+            s.terms for a in range(n - 1, 0, -1) for b in range(a, 0, -1) for s in search._graphic_from(n, (a, b))
+        ]
+        plain = [
+            t
+            for t in itertools.combinations_with_replacement(range(n - 1, 0, -1), n)
+            if sum(t) % 2 == 0 and _eg_ok(t)
+        ]
+        assert shards == [s.terms for s in enumerate_graphic_sequences(n)] == plain, n
+
+
 # --- sigma, read off the verification sweep ----------------------------------
 
 
@@ -1031,8 +1046,8 @@ def test_verify_range_parallel_matches_serial():
 
 
 def test_serial_verify_passes_the_enumerated_sequences(monkeypatch):
-    # a serial run builds each sequence once, in the enumeration; only a
-    # pool's tasks carry terms to rebuild from
+    # a run builds each sequence once, in its shard's enumeration; a task
+    # carries only the shard's leading pair
     trusted = DegreeSequence._trusted.__func__
     built = []
 
@@ -1046,6 +1061,57 @@ def test_serial_verify_passes_the_enumerated_sequences(monkeypatch):
     rep = verify_range(8, K6_MINUS_C4)
     assert rep.total_sequences == 871
     assert len(built) == 871
+
+
+def test_serial_verify_streams_the_enumeration(monkeypatch):
+    # no sequence is built more than one ahead of the oracle: the sweep
+    # holds no list of the enumeration
+    trusted = DegreeSequence._trusted.__func__
+    oracle = search.oracle_decide
+    built, ahead = [0], []
+
+    def counted(cls, *args):
+        built[0] += 1
+        return trusted(cls, *args)
+
+    def watched(s, target, bound):
+        ahead.append(built[0] - len(ahead))
+        return oracle(s, target, bound)
+
+    # the first run loads the decider's exception table, which parses
+    verify_range(9, K6_MINUS_C4)
+    monkeypatch.setattr(DegreeSequence, "_trusted", classmethod(counted))
+    monkeypatch.setattr(search, "oracle_decide", watched)
+    rep = verify_range(9, K6_MINUS_C4)
+    assert rep.total_sequences == len(ahead) == built[0] == 3148
+    assert max(ahead) == 1
+
+
+def test_verify_range_witness_is_the_first_across_shards(monkeypatch):
+    # two oracle noes of equal, largest sum in the shards (6, 5) and (5, 5):
+    # the later shard's witness does not replace the earlier one
+    noes = {"5^4,4^2,2", "6,5^3,4^2,1"}
+    monkeypatch.setattr(search, "oracle_decide", lambda s, target, bound: render_notation(s) not in noes)
+    rep = verify_range(7, K6_MINUS_C4)
+    assert rep.sigma == 32
+    assert rep.sigma_witness == "6,5^3,4^2,1"
+
+
+def test_verify_range_lists_mismatches_in_enumeration_order(monkeypatch):
+    # a decider wrong on one sequence in each of the shards (6, 6) and (5, 5)
+    yes, no = decide_k6c4(seq("5^6")), decide_k6c4(seq("5^2,4^6"))
+    decide = TARGETS["k6-c4"].decide
+
+    def wrong(s):
+        verdict = decide(s)
+        if render_notation(s) in {"5^2,4^5", "6^3,3^4"}:
+            return no if verdict.is_yes else yes
+        return verdict
+
+    monkeypatch.setitem(TARGETS, "k6-c4", dataclasses.replace(TARGETS["k6-c4"], decide=wrong))
+    rep = verify_range(7, K6_MINUS_C4)
+    assert [m.sequence for m in rep.mismatches] == ["6^3,3^4", "5^2,4^5"]
+    assert rep.agreements == rep.total_sequences - 2 == 238
 
 
 def test_verify_range_caps_the_pool(monkeypatch):
@@ -1069,7 +1135,7 @@ def test_verify_range_caps_the_pool(monkeypatch):
             return map(func, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    # at most one process per task: K5-C4 at n = 5 has 20 sequences
+    # at most one process per task: n = 5 has 10 shards, one per (d1, d2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert verify_range(5, K5_MINUS_C4, jobs=100_000).agreements == 20
     # and at most one per CPU the process may use
@@ -1082,7 +1148,7 @@ def test_verify_range_caps_the_pool(monkeypatch):
     assert verify_range(6, K6_MINUS_C4, jobs=100_000).agreements == 71
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify_range(6, K6_MINUS_C4, jobs=100_000).agreements == 71
-    assert sizes == [20, 3, 2, 4]
+    assert sizes == [10, 3, 2, 4]
 
 
 @pytest.mark.parametrize("pattern", [K6_MINUS_C4, K5_MINUS_C4])
@@ -1115,7 +1181,8 @@ def test_verify_range_bound():
 def test_verify_range_progress_callback():
     calls = []
     verify_range(3, K6_MINUS_C4, progress=lambda done, total: calls.append((done, total)))
-    assert calls == [(1, 2), (2, 2)]
+    # one call per shard: (2, 2), (2, 1) and (1, 1), the last one empty
+    assert calls == [(1, 3), (2, 3), (3, 3)]
 
 
 def test_serial_verify_does_not_import_multiprocessing():
