@@ -49,7 +49,6 @@ from .search import (
     OracleBoundError,
     RealizationCertificate,
     VerificationReport,
-    count_graphic_sequences,
     enumerate_graphic_sequences,
     oracle_decide_k6c4,
     oracle_decide_pattern,

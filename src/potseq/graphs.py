@@ -186,15 +186,6 @@ class TargetPattern:
             deg[v] += 1
         return tuple(sorted(deg, reverse=True))
 
-    @cached_property
-    def degree_levels(self) -> tuple[tuple[int, int], ...]:
-        """Per distinct pattern degree d, largest first: d and the number of
-        pattern vertices of degree at least d.  A multiset of host caps
-        dominates ``degree_multiset`` term by term iff, at every level, at
-        least that many caps reach d."""
-        degrees = self.degree_multiset
-        return tuple((d, sum(x >= d for x in degrees)) for d in sorted(set(degrees), reverse=True))
-
     def as_graph(self) -> Graph:
         return Graph.from_edges(self.vertex_count, self.edges)
 
@@ -256,8 +247,9 @@ def _matching_pair_in(adj: Sequence[int], common: int) -> tuple[tuple[int, int],
 def _find_km_minus_c4_adj(
     adj: Sequence[int], n: int, hub_count: int, hubs: int | None = None
 ) -> PatternWitness | None:
-    """First K_m - C4 (m = hub_count + 4) whose hubs all lie in the bitmask
-    ``hubs`` (default: every vertex), hubs in ascending order.
+    """First K_m - C4 (m = hub_count + 4, hub_count 1 or 2, unchecked)
+    whose hubs all lie in the bitmask ``hubs`` (default: every vertex),
+    hubs in ascending order.
 
     Every copy through a vertex u has its hubs in N[u]: u is a hub and the
     others are its neighbors, or u is a quad vertex adjacent to every hub.
@@ -265,8 +257,6 @@ def _find_km_minus_c4_adj(
     hub has degree at least m - 1, so lower-degree vertices are skipped
     without changing which witness comes first.
     """
-    if hub_count not in (1, 2):
-        raise ValueError(f"unsupported hub count {hub_count}")
     need = hub_count + 3
     rest = (1 << n) - 1 if hubs is None else hubs
     while rest:

@@ -76,8 +76,8 @@ and lies in G+.  The base is empty, so no degree passes its demand.  Hence
 if H contains the pattern, the pattern embeds in G+ with every pattern
 vertex on a host whose cap is at least its pattern degree.  After a step
 on which ``accept`` fails, the search looks for such an embedding
-(``_bound_test``, through ``graphs._embed`` with the caps as data, for any
-registered pattern); when there is none, ``accept``, which holds exactly
+(``_bound_test``, with the K_m - C4 finder that ``accept`` runs, on G+
+restricted by the caps); when there is none, ``accept``, which holds exactly
 on the graphs that contain the pattern, fails on every partial graph
 below, and the step is undone like a dead end.  The cut subtrees hold no
 success, so the first success is the same as without the cut, and so are
@@ -103,14 +103,7 @@ from operator import eq, ge, sub
 from typing import Callable, Iterator, Sequence
 
 from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
-from .graphs import (
-    Graph,
-    K5_MINUS_C4,
-    K6_MINUS_C4,
-    TargetPattern,
-    _contains_pattern_adj,
-    _find_km_minus_c4_adj,
-)
+from .graphs import Graph, K5_MINUS_C4, K6_MINUS_C4, TargetPattern, _find_km_minus_c4_adj
 from .sequences import DegreeSequence, _eg_ok, is_graphic, render_notation
 
 __all__ = [
@@ -129,7 +122,6 @@ __all__ = [
     "oracle_realization_k6c4",
     "oracle_decide_pattern",
     "enumerate_graphic_sequences",
-    "count_graphic_sequences",
     "verify_range",
     "Target",
     "TARGETS",
@@ -212,11 +204,11 @@ def _complete(
     invariant under isomorphism, and ``base`` must be empty: only then does
     the Erdos-Gallai check prove that a partial graph can be completed.
 
-    With ``pattern`` given, ``accept`` must hold exactly on the graphs that
-    contain it.  The search then returns None at once when the sorted
-    demand does not dominate the pattern's sorted degrees: the root's bound
-    graph is the complete graph on the unsaturated vertices, and no copy
-    of the pattern fits its caps.  A step on which ``accept`` fails is cut,
+    With ``pattern`` given, a K_m - C4, ``accept`` must hold exactly on the
+    graphs that contain it.  The search then returns None at once when the
+    sorted demand does not dominate the pattern's sorted degrees: the
+    root's bound graph is the complete graph on the unsaturated vertices,
+    and no copy of the pattern fits its caps.  A step on which ``accept`` fails is cut,
     undone like a dead end, when no copy of the pattern fits the bound graph
     (``_bound_test``; the lemma and its proof are in the module
     docstring).  A step that joins ``u`` to every unsaturated vertex leaves
@@ -377,61 +369,40 @@ def _bound_test(demand: Sequence[int], pattern: TargetPattern) -> Callable[[list
     at least its pattern degree.  The module docstring proves that no
     partial graph below such a step holds the pattern.
 
-    The test passes without a search in three cases.  After a step on a
-    vertex whose cap is below the pattern's largest degree: the cuts come
-    from saturating the vertices that can take the pattern's top degree,
-    and the small *no* searches, which seldom cut, pay for every test.
-    When the residuals ask for exactly a clique on the k unsaturated
-    vertices (k - 1 each, a leaf when k = 0): the one completion left is
-    G+ itself, and the steps below test it.  And when a clique of G+ has
-    caps that dominate the pattern's degrees: the saturated vertices whose
-    caps reach the pattern's least degree, taken greedily, each joined to
-    those taken before, plus the unsaturated ones with such caps joined to
-    all of them.  The masks it needs are built on its first call, which
-    many searches never make.
+    Every registered pattern is K_m - C4, whose hubs have degree m - 1 and
+    whose quad vertices have degree m - 3.  So a capped copy has its hubs
+    on hosts with cap >= m - 1 and all its vertices on hosts with cap
+    >= m - 3, and the test is the K_m - C4 finder on G+ with every row
+    masked to the hosts ``able`` (cap >= m - 3), its hubs taken from the
+    hosts ``hubs`` (cap >= m - 1).
+
+    The test passes without a search in two cases.  After a step on a
+    vertex whose cap is below m - 1: the cuts come from saturating the
+    vertices that can be hubs, and the small *no* searches, which seldom
+    cut, pay for every test.  And when the residuals ask for exactly a
+    clique on the k unsaturated vertices (k - 1 each, a leaf when k = 0):
+    the one completion left is G+ itself, and the steps below test it.
+    The masks are built on the first call, which many searches never make.
     """
     n = len(demand)
-    top = pattern.degree_multiset[0]
+    m = pattern.vertex_count
     bits: list[int] = []
-    levels: list[tuple[int, int]] = []
+    masks: list[int] = []
 
     def holds(adj: list[int], residual: list[int], u: int) -> bool:
-        if demand[u] < top:
+        if demand[u] < m - 1:
             return True
         if not bits:
             bits.extend([1 << v for v in range(n)])
-            # per level of the pattern's degrees: the hosts whose caps reach it
-            for d, count in pattern.degree_levels:
-                mask = 0
-                for b, x in zip(bits, demand):
-                    if x >= d:
-                        mask |= b
-                levels.append((mask, count))
+            masks.append(sum(b for b, x in zip(bits, demand) if x >= m - 3))
+            masks.append(sum(b for b, x in zip(bits, demand) if x >= m - 1))
         unsat = sum(compress(bits, residual))
         k = unsat.bit_count()
         if sum(residual) == k * (k - 1):
             return True
-        able = levels[-1][0]
-        pool = unsat & able
-        rest = able & ~unsat
-        clique = 0
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            nb = adj[low.bit_length() - 1]
-            if nb & clique == clique:
-                clique |= low
-                pool &= nb
-        clique |= pool
-        for mask, count in levels:
-            if (clique & mask).bit_count() < count:
-                break
-        else:
-            return True
-        plus = list(adj)
-        for v in compress(range(n), residual):
-            plus[v] |= unsat ^ bits[v]
-        return _contains_pattern_adj(plus, n, pattern, caps=demand)
+        able, hubs = masks
+        plus = [(a | unsat ^ b if r else a) & able for a, b, r in zip(adj, bits, residual)]
+        return _find_km_minus_c4_adj(plus, n, m - 4, hubs) is not None
 
     return holds
 
@@ -837,10 +808,6 @@ def _graphic_from(n: int, head: tuple[int, ...]) -> Iterator[DegreeSequence]:
         terms = head + rest
         if sum(terms) % 2 == 0 and _eg_ok(terms):
             yield DegreeSequence._trusted(terms, 0, True)
-
-
-def count_graphic_sequences(n: int) -> int:
-    return sum(1 for _ in enumerate_graphic_sequences(n))
 
 
 @dataclass(frozen=True)

@@ -236,6 +236,12 @@ def test_find_km_minus_c4_k5():
     assert find_km_minus_c4(cycle_graph(5), 5) is None
 
 
+@pytest.mark.parametrize("m", [4, 7])
+def test_find_km_minus_c4_refuses_other_m(m):
+    with pytest.raises(ValueError):
+        find_km_minus_c4(complete_graph(8), m)
+
+
 def test_contains_pattern_fixtures():
     assert contains_pattern(complete_graph(6), K6_MINUS_C4)
     assert contains_pattern(K5_MINUS_C4.as_graph(), K5_MINUS_C4)

@@ -28,7 +28,6 @@ from potseq.search import (
     NotPotentialError,
     OracleBoundError,
     _complete,
-    count_graphic_sequences,
     enumerate_graphic_sequences,
     oracle_decide,
     oracle_decide_k6c4,
@@ -844,6 +843,96 @@ def test_cut_engine_matches_reference_n10_n11(monkeypatch):
     assert cuts > 0
 
 
+def bound_graph(adj, residual):
+    # G+: the partial graph plus every pair of unsaturated vertices
+    plus = list(adj)
+    for a, b in itertools.combinations([v for v, r in enumerate(residual) if r], 2):
+        plus[a] |= 1 << b
+        plus[b] |= 1 << a
+    return plus
+
+
+def passes_without_search(demand, residual, u, m):
+    k = sum(1 for r in residual if r)
+    return demand[u] < m - 1 or sum(residual) == k * (k - 1)
+
+
+def check_cut_against_capped_embedding(monkeypatch, lengths):
+    # the oracle on every graphic sequence of the given lengths, for both
+    # targets, with _bound_test wrapped: every call that passes neither
+    # without-search case must answer as the generic capped embedder on G+;
+    # returns the checked calls and cuts per pattern
+    bound_test = search._bound_test
+    seen = {}
+
+    def checking(demand, pattern):
+        holds = bound_test(demand, pattern)
+        counts = seen.setdefault(pattern.name, [0, 0])
+
+        def checked(adj, residual, u):
+            got = holds(adj, residual, u)
+            if passes_without_search(demand, residual, u, pattern.vertex_count):
+                assert got is True
+            else:
+                expected = _contains_pattern_adj(bound_graph(adj, residual), len(adj), pattern, caps=demand)
+                assert got == expected, (pattern.name, demand, adj, residual, u)
+                counts[0] += 1
+                counts[1] += not got
+            return got
+
+        return checked
+
+    monkeypatch.setattr(search, "_bound_test", checking)
+    for target in TARGETS.values():
+        for n in lengths:
+            for s in enumerate_graphic_sequences(n):
+                oracle_decide(s, target, bound=max(lengths))
+    return seen
+
+
+def test_cut_test_matches_capped_embedding_through_n9(monkeypatch):
+    seen = check_cut_against_capped_embedding(monkeypatch, range(1, 10))
+    checked, cuts = seen["K6-C4"]
+    assert checked > cuts > 0
+    assert seen["K5-C4"][0] > 0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=10..11 sweep")
+def test_cut_test_matches_capped_embedding_n10_n11(monkeypatch):
+    seen = check_cut_against_capped_embedding(monkeypatch, (10, 11))
+    assert seen["K6-C4"][1] > 0
+
+
+def test_cut_test_matches_capped_embedding_random():
+    # seeded random partial graphs, residuals and caps with n <= 9; the caps
+    # cluster around m - 3..m - 1, where a host may take a quad vertex but
+    # not a hub
+    rng = random.Random(21)
+    answers = {True: 0, False: 0}
+    for _ in range(3000):
+        pattern = rng.choice((K6_MINUS_C4, K5_MINUS_C4))
+        m = pattern.vertex_count
+        n = rng.randint(m, 9)
+        adj = [0] * n
+        p = rng.uniform(0.2, 0.9)
+        for a, b in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        demand = [max(0, min(n - 1, m - 2 + rng.randint(-2, 2))) for _ in range(n)]
+        residual = [rng.randint(0, 2) if rng.random() < 0.5 else 0 for _ in range(n)]
+        u = rng.randrange(n)
+        if passes_without_search(demand, residual, u, m):
+            continue
+        got = search._bound_test(demand, pattern)(adj, residual, u)
+        assert got == _contains_pattern_adj(bound_graph(adj, residual), n, pattern, caps=demand), (
+            pattern.name, demand, adj, residual, u
+        )
+        answers[got] += 1
+    assert min(answers.values()) > 100, answers
+
+
 @pytest.mark.parametrize("text,pattern", [("4^5,3^2,2^2", K6_MINUS_C4), ("4^5", K6_MINUS_C4), ("3^6", K5_MINUS_C4)])
 def test_cut_engine_stops_at_a_root_without_dominance(text, pattern):
     # no term, or too few terms, reach the pattern's degrees: the search
@@ -923,7 +1012,7 @@ def test_enumeration_examples():
 
 
 def test_enumeration_counts():
-    assert [count_graphic_sequences(n) for n in range(1, 9)] == [0, 1, 2, 7, 20, 71, 240, 871]
+    assert [sum(1 for _ in enumerate_graphic_sequences(n)) for n in range(1, 9)] == [0, 1, 2, 7, 20, 71, 240, 871]
 
 
 def test_enumeration_is_lexicographically_decreasing():
