@@ -546,7 +546,7 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int = DEFAULT_ORAC
     if found is not None:
         adj = found[0]
         # every row: a padded witness must not pass on its first n rows
-        # a display: see _role_assignments
+        # a display: see _place_km_c4
         if (*map(int.bit_count, adj),) == seq.terms and target.accept(adj, -1):
             return True
     return _complete(seq.terms, [0] * seq.n, target.accept, target.pattern) is not None
@@ -638,28 +638,16 @@ class RealizationCertificate:
         self.checked = True
 
 
-def _placement_class(d: Sequence[int], m: int, hubs: tuple[int, ...], pairs: tuple) -> tuple:
-    """The class key of a placement: its sorted hub residuals and its sorted
-    per-pair residual pairs."""
-    hub_key = tuple(sorted(d[h] - (m - 1) for h in hubs))
-    pair_key = tuple(sorted(tuple(sorted((d[p] - (m - 3), d[q] - (m - 3)))) for p, q in pairs))
-    return hub_key, pair_key
-
-
 class _Placement(tuple):
     """One placement of K_m - C4 on hosts 0..m-1, which is the pair
     (hubs, pairs) in the certificate's form: the hubs ascend, each pair
-    ascends, and the pairs are in order.  It carries what a call needs: the
-    last hub and the last quad vertex, which the bounds test reads, and
-    per host its base row and its demand offset (m - 1 for a hub, m - 3
-    for a quad vertex)."""
+    ascends, and the pairs are in order.  It carries per host its base row
+    and its demand offset (m - 1 for a hub, m - 3 for a quad vertex)."""
 
-    def __new__(cls, m: int, hubs: tuple[int, ...], quad: list[int], pairs: tuple) -> _Placement:
+    def __new__(cls, m: int, hubs: tuple[int, ...], pairs: tuple) -> _Placement:
         self = super().__new__(cls, (hubs, pairs))
         top = (1 << m) - 1
         hub_mask = sum(1 << h for h in hubs)
-        self.last_hub = hubs[-1]
-        self.last_quad = quad[-1]
         self.base = [top ^ 1 << v if v in hubs else hub_mask for v in range(m)]
         for a, b in pairs:
             self.base[a] |= 1 << b
@@ -680,7 +668,7 @@ def _placements(m: int) -> list[_Placement]:
         # diagonal pairing first so a zero-demand completion reproduces the
         # pattern constant exactly
         for a, b, c, e in ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)):
-            rows.append(_Placement(m, hubs, quad, ((quad[a], quad[b]), (quad[c], quad[e]))))
+            rows.append(_Placement(m, hubs, ((quad[a], quad[b]), (quad[c], quad[e]))))
     return rows
 
 
@@ -688,106 +676,88 @@ def _placements(m: int) -> list[_Placement]:
 def _class_list(shape: tuple[bool, ...]) -> list[tuple[int, int, _Placement]]:
     """The placements that open a class, in placement order, with their
     last hub and last quad vertex, for top terms of run shape ``shape``
-    (``shape[i]``: whether terms i and i + 1 are equal)."""
+    (``shape[i]``: whether terms i and i + 1 are equal).
+
+    Two placements whose hubs have equal multisets of terms, and whose
+    pairs equal multisets of term pairs, pose isomorphic completion
+    problems; only the first of each class is tried.  Classes are a
+    function of the run shape: a key compares terms only through sorting
+    and equality, and relabeling each top term by minus its run index is
+    injective and order-preserving, so it keeps equal keys equal and
+    unequal keys unequal."""
     m = len(shape) + 1
-    # minus the run index: top terms of this shape (see _role_assignments)
-    d = [0]
+    d = [0]  # each top term relabeled by minus its run index
     for same in shape:
         d.append(d[-1] - (not same))
     seen = set()
     classes = []
     for row in _placements(m):
-        key = _placement_class(d, m, *row)
+        hubs, pairs = row
+        key = tuple(sorted(d[h] for h in hubs)), tuple(sorted(tuple(sorted((d[p], d[q]))) for p, q in pairs))
         if key not in seen:
             seen.add(key)
-            classes.append((row.last_hub, row.last_quad, row))
+            classes.append((hubs[-1], max(map(max, pairs)), row))
     return classes
-
-
-def _role_assignments(d: Sequence[int], m: int) -> list[_Placement]:
-    """Candidate (hubs, matched pairs) placements on hosts 0..m-1, one per
-    class, in placement order, that pass the bounds.  ``d`` is
-    non-increasing, with at least m terms.
-
-    Two placements with equal hub residual multisets and equal multisets of
-    per-pair residual pairs (``_placement_class``) yield isomorphic
-    completion problems, so only the first of each class is kept.
-
-    Classes are a function of the run shape.  Class keys compare values
-    only through sorting and equality.  Relabeling each of the top m values
-    by minus its run index is injective and order-preserving, so it maps
-    equal keys to equal keys and unequal to unequal, and the classes of
-    ``d`` are those of any top terms with its run shape.  ``_class_list``
-    finds them once per shape.
-
-    Filtering commutes with deduplication.  ``combinations`` yields
-    ascending hub sets and ``d`` is non-increasing, so the last hub and the
-    last quad vertex have the least terms of their roles; the bounds, last
-    hub >= m - 1 and last quad vertex >= m - 3, say that the least hub
-    residual and the least pair residual are >= 0, and a class key fixes
-    both.  So a class passes or fails as a whole, and filtering the class
-    list keeps the first member of each passing class, as deduplicating
-    the filtered placements would.
-
-    The bounds are the only test.  A hub's demand is its term minus m - 1
-    and a quad vertex's its term minus m - 3; the tail's demands are its
-    positive terms.  So the bounds hold exactly when no demand is negative.
-    """
-    # a display, not tuple(map(...)): a tuple built from an iterator is
-    # resized, and freed into a free list it never takes from
-    shape = (*map(eq, d, d[1:m]),)
-    return [row for h, q, row in _class_list(shape) if d[h] >= m - 1 and d[q] >= m - 3]
 
 
 def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | None:
     """The first completion, in placement order, of a graph with degrees
     ``d`` (non-increasing, at least m terms) that has K_m - C4 on vertices
-    0..m-1, as (adjacency, placement); None when no placement completes."""
+    0..m-1, as (adjacency, placement); None when no placement completes.
+
+    It tries the first placement of each class (see ``_class_list``) that
+    passes the bounds: the last hub's term is >= m - 1 and the last quad
+    vertex's >= m - 3.  Hubs ascend and ``d`` is non-increasing, so these
+    are the least terms of their roles.  A hub's demand is its term minus m - 1, a quad
+    vertex's its term minus m - 3, and the tail's its terms, so the bounds
+    hold exactly when no demand is negative.  A class key fixes both least
+    terms, so a class passes or fails as a whole: skipping the rows that
+    fail tries the first member of each passing class, as deduplicating
+    the passing placements would."""
     tail = d[m:]
     zeros = [0] * len(tail)
-    for row in _role_assignments(d, m):
-        adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None)
-        if adj is not None:
-            return adj, row
+    # a display, not tuple(map(...)): a tuple built from an iterator is
+    # resized, and freed into a free list it never takes from
+    for h, q, row in _class_list((*map(eq, d, d[1:m]),)):
+        if d[h] >= m - 1 and d[q] >= m - 3:
+            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None)
+            if adj is not None:
+                return adj, row
     return None
 
 
 def _realize_with_km_c4(
-    seq: DegreeSequence, m: int, decide: Callable[[DegreeSequence], Verdict] | None
+    seq: DegreeSequence, m: int, decide: Callable[[DegreeSequence], Verdict]
 ) -> RealizationCertificate:
     """Realization with K_m - C4 on the m largest-degree vertices; refuses
-    the sequences ``decide`` rejects unless it is None."""
-    if decide is not None:
-        verdict = decide(seq)
-        if not verdict.is_yes:
-            raise NotPotentialError(verdict)
-    n = seq.n
-    if n < m:
-        raise EmbeddingFailure(f"need at least {m} positive terms, have {n}")
+    the sequences ``decide`` rejects, among them all with fewer than m terms."""
+    verdict = decide(seq)
+    if not verdict.is_yes:
+        raise NotPotentialError(verdict)
     found = _place_km_c4(seq.terms, m)
     if found is None:
         raise EmbeddingFailure(
             f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
         )
     adj, (hubs, pairs) = found
-    cert = RealizationCertificate(Graph(n, tuple(adj)), tuple(range(m)), hubs, pairs)
+    cert = RealizationCertificate(Graph(seq.n, tuple(adj)), tuple(range(m)), hubs, pairs)
     cert.revalidate(seq)
     return cert
 
 
-def realize_with_k6c4(seq: DegreeSequence, unchecked: bool = False) -> RealizationCertificate:
+def realize_with_k6c4(seq: DegreeSequence) -> RealizationCertificate:
     """Realization with K6 - C4 on the six largest-degree vertices.
 
-    Enforces the closed-form decider first; ``unchecked=True`` bypasses it
-    (used to probe the completeness claim).  Raises EmbeddingFailure when no
-    placement completes, which for decider-yes input indicates a bug.
+    Enforces the closed-form decider first, raising NotPotentialError on a
+    *no*.  Raises EmbeddingFailure when no placement completes, which for
+    decider-yes input indicates a bug.
     """
-    return _realize_with_km_c4(seq, 6, None if unchecked else decide_k6c4)
+    return _realize_with_km_c4(seq, 6, decide_k6c4)
 
 
-def realize_with_k5c4(seq: DegreeSequence, unchecked: bool = False) -> RealizationCertificate:
+def realize_with_k5c4(seq: DegreeSequence) -> RealizationCertificate:
     """Realization with K5 - C4 on the five largest-degree vertices."""
-    return _realize_with_km_c4(seq, 5, None if unchecked else decide_k5c4)
+    return _realize_with_km_c4(seq, 5, decide_k5c4)
 
 
 # ---------------------------------------------------------------------------

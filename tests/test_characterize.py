@@ -18,7 +18,7 @@ from potseq.characterize import (
     k6c4_exceptions,
     sigma_formula_k6c4,
 )
-from potseq.search import EmbeddingFailure, enumerate_graphic_sequences, realize_with_k6c4
+from potseq.search import _place_km_c4, enumerate_graphic_sequences
 from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation, shape_of
 
 # Guards the shipped fixture file against transcription drift.
@@ -263,8 +263,7 @@ def test_cond2_family_members_have_no_embedding():
     members = list(_residual_family_members(40))
     assert len(members) == 630
     for terms in members:
-        with pytest.raises(EmbeddingFailure):
-            realize_with_k6c4(DegreeSequence(terms), unchecked=True)
+        assert _place_km_c4(terms, 6) is None, terms
 
 
 # --- K5-C4 decider ----------------------------------------------------------

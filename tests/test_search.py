@@ -106,8 +106,23 @@ def test_realize_with_k6c4_enforces_decider():
 
 def test_realize_with_k6c4_unchecked_failure():
     # excluded by the counting condition; no placement on the top six can work
-    with pytest.raises(EmbeddingFailure):
-        realize_with_k6c4(seq("5^3,3^3"), unchecked=True)
+    assert search._place_km_c4(seq("5^3,3^3").terms, 6) is None
+
+
+def test_realizers_refuse_too_short_sequences():
+    # the deciders answer TOO_SHORT for every graphic sequence with n < m,
+    # the empty one included, so no realizer places on fewer than m vertices
+    cases = 0
+    for m, realize in ((6, realize_with_k6c4), (5, realize_with_k5c4)):
+        short = [DegreeSequence(())]
+        for n in range(1, m):
+            short += enumerate_graphic_sequences(n)
+        for s in short:
+            with pytest.raises(NotPotentialError) as exc:
+                realize(s)
+            assert exc.value.verdict.reason == "TOO_SHORT", s.terms
+        cases += len(short)
+    assert cases == 2 + 30 + 10
 
 
 def test_certificates_are_byte_stable():
@@ -565,24 +580,21 @@ def reference_role_assignments(d, m):
             yield hubs, pairs
 
 
-def test_role_assignments_keep_placement_order():
+def top_tuples():
     # every non-increasing top tuple with values 1..10, then three 1s
-    cases = 0
-    for m in (5, 6):
-        for top in itertools.combinations_with_replacement(range(10, 0, -1), m):
-            d = top + (1, 1, 1)
-            assert list(search._role_assignments(d, m)) == list(reference_role_assignments(d, m)), d
-            cases += 1
-    assert cases == 7007
+    return [
+        (top + (1, 1, 1), m)
+        for m in (5, 6)
+        for top in itertools.combinations_with_replacement(range(10, 0, -1), m)
+    ]
 
 
-def reference_placement_problems(d, m):
-    """The completion problems, as (demand, base), that the realizer's
-    placement poses in order when each placement's hub mask, base rows and
-    demands are built on every call, and its adjacency, or None."""
+def reference_problems(d, m):
+    """The completion problems, as (demand, base), of the reference
+    placements with no negative demand, in order, when each placement's
+    hub mask, base rows and demands are built on every call."""
     n = len(d)
     top = (1 << m) - 1
-    problems = []
     for hubs, pairs in reference_role_assignments(d, m):
         hub_mask = sum(1 << h for h in hubs)
         base = [hub_mask] * m + [0] * (n - m)
@@ -595,8 +607,36 @@ def reference_placement_problems(d, m):
         for a, b in pairs:
             base[a] |= 1 << b
             base[b] |= 1 << a
-        if min(demand) < 0:
-            continue
+        if min(demand) >= 0:
+            yield demand, base
+
+
+def test_placements_try_every_class_in_order(monkeypatch):
+    # with a completion engine that never completes, ``_place_km_c4`` poses
+    # the problem of every reference placement that passes the bounds, in
+    # the reference's order
+    problems = []
+
+    def never(demand, base, accept):
+        problems.append((list(demand), list(base)))
+        return None
+
+    monkeypatch.setattr(search, "_complete", never)
+    tops = top_tuples()
+    posed = 0
+    for d, m in tops:
+        del problems[:]
+        assert search._place_km_c4(d, m) is None
+        assert problems == list(reference_problems(d, m)), (d, m)
+        posed += len(problems)
+    assert (len(tops), posed) == (7007, 21231)
+
+
+def reference_placement_problems(d, m):
+    """The reference's problems up to its first completion, and that
+    completion's adjacency, or None."""
+    problems = []
+    for demand, base in reference_problems(d, m):
         problems.append((demand, base))
         adj = _complete(demand, base, None)
         if adj is not None:
@@ -627,7 +667,7 @@ def placements_pose_reference_problems(monkeypatch, tops):
 
 
 def test_placements_pose_reference_problems_on_top_tuples(monkeypatch):
-    # the top tuples of test_role_assignments_keep_placement_order
+    # the top tuples of test_placements_try_every_class_in_order
     tops = [
         (top + (1, 1, 1), m)
         for m in (5, 6)
@@ -653,9 +693,8 @@ def test_placements_pose_reference_problems_on_gnp(monkeypatch):
 def test_placement_tables_share_rows():
     # one class list per run shape of the top m terms (2**4 for m = 5, 2**5
     # for m = 6), all of them built from the same rows
-    for m in (5, 6):
-        for top in itertools.combinations_with_replacement(range(10, 0, -1), m):
-            search._role_assignments(top + (1, 1, 1), m)
+    for d, m in top_tuples():
+        search._class_list(tuple(a == b for a, b in zip(d, d[1:m])))
     assert search._class_list.cache_info().currsize == 16 + 32
     rows = {id(row) for m in (5, 6) for row in search._placements(m)}
     assert len(rows) == 15 + 45
