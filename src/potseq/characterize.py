@@ -76,6 +76,7 @@ condition (3) families, condition (2').
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .sequences import (
@@ -160,14 +161,9 @@ class ExceptionTable:
         return self.index.get(seq.terms)
 
 
-_table: ExceptionTable | None = None
-
-
+@cache
 def k6c4_exceptions() -> ExceptionTable:
-    global _table
-    if _table is None:
-        _table = ExceptionTable.load()
-    return _table
+    return ExceptionTable.load()
 
 
 # Verdicts fixed by (target, reason, n, lhs), built once and then shared.

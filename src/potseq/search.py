@@ -51,10 +51,10 @@ unsaturated vertices are then never adjacent to each other, so the residual
 check is exact, no branch is a dead end, and the search stops at the first
 partial graph that contains the pattern.
 
-The oracle's test is ``accept(adj, u)``: called once on the base with
-``u = -1`` (a full test), then after every step, with ``u`` the vertex that
-step saturated.  The parent graph had no copy of the pattern and the new
-edges all touch ``u``, so only copies through ``u`` need to be looked for.
+The oracle's test is ``accept(adj, u)`` (a full test for ``u = -1``), called
+after every step with ``u`` the vertex that step saturated.  The parent
+graph had no copy of the pattern (the root is empty) and the new edges all
+touch ``u``, so only copies through ``u`` need to be looked for.
 Both patterns are K_m - C4 (m = 6 and m = 5), and one test serves both: the
 K_m - C4 finder with m - 4 hubs (``_km_c4_accept``).  The hubs of a copy
 through ``u`` lie in N[u], since ``u`` is a hub or a quad vertex joined to
@@ -96,7 +96,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import combinations, combinations_with_replacement, compress, dropwhile
 from operator import eq, ge, sub
@@ -200,9 +200,10 @@ def _complete(
     With ``accept`` None, returns the adjacency of the first completion in
     search order, or None when there is none.  Otherwise returns the first
     partial graph on which ``accept`` holds, or None when no completion
-    satisfies it.  ``accept`` must be monotone under edge addition and
-    invariant under isomorphism, and ``base`` must be empty: only then does
-    the Erdos-Gallai check prove that a partial graph can be completed.
+    satisfies it.  ``accept`` must be monotone under edge addition,
+    invariant under isomorphism and false on the empty graph, and ``base``
+    must be empty: only then does the Erdos-Gallai check prove that a
+    partial graph can be completed.
 
     With ``pattern`` given, a K_m - C4, ``accept`` must hold exactly on the
     graphs that contain it.  The search then returns None at once when the
@@ -216,13 +217,12 @@ def _complete(
     that a leap's landing set passed, so the node's next set is checked
     again.  The realizer passes no pattern and never builds the test.
 
-    ``accept(adj, u)`` is called once on the base with ``u = -1``, a full
-    test, and then after each step that saturates ``u`` by adding the
-    edges from ``u`` to a neighbor set, before the search goes deeper.
-    Each step's parent graph failed the test, and the test is monotone, so
-    any copy of the pattern in the new graph uses a new edge, and every new
-    edge touches ``u``: a test that only looks at copies through ``u`` is
-    exact.
+    ``accept(adj, u)`` is called after each step that saturates ``u`` by
+    adding the edges from ``u`` to a neighbor set, before the search goes
+    deeper.  Each step's parent graph failed the test or is the empty base,
+    and the test is monotone, so any copy of the pattern in the new graph
+    uses a new edge, and every new edge touches ``u``: a test that only
+    looks at copies through ``u`` is exact.
 
     Every edge the search adds has a saturated end: it joins the step's
     ``u``, whose residual stays 0 while its frame is open, to a neighbor.
@@ -257,8 +257,6 @@ def _complete(
     if sum(demand) % 2:
         return None
     adj = list(base)
-    if accept is not None and accept(adj, -1):
-        return adj
     n = len(adj)
     residual = list(demand)
     holds = None
@@ -726,25 +724,6 @@ def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | Non
     return None
 
 
-def _realize_with_km_c4(
-    seq: DegreeSequence, m: int, decide: Callable[[DegreeSequence], Verdict]
-) -> RealizationCertificate:
-    """Realization with K_m - C4 on the m largest-degree vertices; refuses
-    the sequences ``decide`` rejects, among them all with fewer than m terms."""
-    verdict = decide(seq)
-    if not verdict.is_yes:
-        raise NotPotentialError(verdict)
-    found = _place_km_c4(seq.terms, m)
-    if found is None:
-        raise EmbeddingFailure(
-            f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
-        )
-    adj, (hubs, pairs) = found
-    cert = RealizationCertificate(Graph(seq.n, tuple(adj)), tuple(range(m)), hubs, pairs)
-    cert.revalidate(seq)
-    return cert
-
-
 def realize_with_k6c4(seq: DegreeSequence) -> RealizationCertificate:
     """Realization with K6 - C4 on the six largest-degree vertices.
 
@@ -752,12 +731,12 @@ def realize_with_k6c4(seq: DegreeSequence) -> RealizationCertificate:
     *no*.  Raises EmbeddingFailure when no placement completes, which for
     decider-yes input indicates a bug.
     """
-    return _realize_with_km_c4(seq, 6, decide_k6c4)
+    return TARGETS["k6-c4"].realize(seq)
 
 
 def realize_with_k5c4(seq: DegreeSequence) -> RealizationCertificate:
     """Realization with K5 - C4 on the five largest-degree vertices."""
-    return _realize_with_km_c4(seq, 5, decide_k5c4)
+    return TARGETS["k5-c4"].realize(seq)
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +767,7 @@ class Mismatch:
     oracle: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sequence": self.sequence,
-            "decider": self.decider,
-            "decider_reason": self.decider_reason,
-            "oracle": "yes" if self.oracle else "no",
-        }
+        return {**asdict(self), "oracle": "yes" if self.oracle else "no"}
 
 
 @dataclass
@@ -811,23 +785,18 @@ class VerificationReport:
     n: int
     target: str
     total_sequences: int
-    agreements: int
     mismatches: list[Mismatch] = field(default_factory=list)
     wall_time: float = 0.0
     sigma: int = 0
     sigma_witness: str | None = None
 
+    @property
+    def agreements(self) -> int:
+        return self.total_sequences - len(self.mismatches)
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "target": self.target,
-            "total_sequences": self.total_sequences,
-            "agreements": self.agreements,
-            "mismatches": [m.to_dict() for m in self.mismatches],
-            "wall_time": self.wall_time,
-            "sigma": self.sigma,
-            "sigma_witness": self.sigma_witness,
-        }
+        mismatches = [m.to_dict() for m in self.mismatches]
+        return {**asdict(self), "agreements": self.agreements, "mismatches": mismatches}
 
     def summary(self) -> str:
         return (
@@ -849,7 +818,7 @@ def _verify_shard(task: tuple[int, tuple[int, int], str, int]) -> tuple[int, lis
         count += 1
         verdict = target.decide(seq)
         oracle = oracle_decide(seq, target, bound)
-        if (verdict.decision == "yes") != oracle:
+        if verdict.is_yes != oracle:
             mismatches.append(Mismatch(render_notation(seq), verdict.decision, verdict.reason, oracle))
         if not oracle and (best is None or seq.sigma > best.sigma):
             best = seq
@@ -901,7 +870,6 @@ def verify_range(
         n=n,
         target=target.name,
         total_sequences=total,
-        agreements=total - len(mismatches),
         mismatches=mismatches,
         wall_time=time.perf_counter() - start,
         sigma=0 if best is None else best.sigma + 2,
@@ -915,23 +883,38 @@ def verify_range(
 
 @dataclass(frozen=True)
 class Target:
-    """What potseq knows about one pattern: its closed-form decider, its
-    constructive realizer, the containment test ``accept(adj, u)`` that
-    ``oracle_decide`` runs (a full test for ``u = -1``, else only copies
-    through ``u``; for both registered patterns, ``_km_c4_accept``) and,
-    when the paper gives one, its sigma formula.  The minimum sequence
-    length is ``pattern.vertex_count``."""
+    """What potseq knows about one pattern: its closed-form decider, the
+    containment test ``accept(adj, u)`` that ``oracle_decide`` runs (a full
+    test for ``u = -1``, else only copies through ``u``; for both registered
+    patterns, ``_km_c4_accept``) and, when the paper gives one, its sigma
+    formula.  The minimum sequence length is ``pattern.vertex_count``."""
 
     pattern: TargetPattern
     decide: Callable[[DegreeSequence], Verdict]
-    realize: Callable[[DegreeSequence], RealizationCertificate]
     accept: _Accept
     sigma_formula: Callable[[int], int] | None
 
+    def realize(self, seq: DegreeSequence) -> RealizationCertificate:
+        """The realizer: K_m - C4 on the m largest-degree vertices, for the
+        sequences ``decide`` accepts (none shorter than m)."""
+        verdict = self.decide(seq)
+        if not verdict.is_yes:
+            raise NotPotentialError(verdict)
+        m = self.pattern.vertex_count
+        found = _place_km_c4(seq.terms, m)
+        if found is None:
+            raise EmbeddingFailure(
+                f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
+            )
+        adj, (hubs, pairs) = found
+        cert = RealizationCertificate(Graph(seq.n, tuple(adj)), tuple(range(m)), hubs, pairs)
+        cert.revalidate(seq)
+        return cert
+
 
 TARGETS = {
-    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, realize_with_k6c4, _km_c4_accept(K6_MINUS_C4), sigma_formula_k6c4),
-    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, realize_with_k5c4, _km_c4_accept(K5_MINUS_C4), None),
+    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, _km_c4_accept(K6_MINUS_C4), sigma_formula_k6c4),
+    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, _km_c4_accept(K5_MINUS_C4), None),
 }
 
 

@@ -6,8 +6,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 import potseq.cli as cli
+import potseq.search as search
+from potseq.characterize import Verdict
 from potseq.graphs import decode_graph6, degree_sequence_of, find_km_minus_c4, from_edgelist
-from potseq.search import Mismatch, VerificationReport
+from potseq.search import TARGETS, Mismatch, VerificationReport
 from potseq.sequences import MAX_TERMS
 
 
@@ -216,6 +218,14 @@ def test_realize_long_sequence_completes():
     assert find_km_minus_c4(g, 6) is not None
 
 
+def test_realize_embedding_failure_is_a_breach(monkeypatch):
+    monkeypatch.setattr(search, "_place_km_c4", lambda d, m: None)
+    code, out, err = run(["realize", "5^2,4^5"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: EmbeddingFailure: no embedded realization of 5^2,4^5")
+
+
 def test_realize_dot():
     code, out, _ = run(["realize", "4^5", "--target", "k5-c4", "--format", "dot"])
     assert code == 0
@@ -252,6 +262,14 @@ def test_sigma_bound_refusal():
 def test_sigma_domain_error():
     code, _, _ = run(["sigma", "--n", "5"])
     assert code == 2
+
+
+def test_sigma_contradicting_the_formula_is_a_breach(monkeypatch):
+    monkeypatch.setitem(TARGETS, "k6-c4", dataclasses.replace(TARGETS["k6-c4"], sigma_formula=lambda n: 0))
+    code, out, err = run(["sigma", "--n", "7", "--mode", "both"])
+    assert code == 3
+    assert out == "formula=0 search=32 witness=(6^3,3^4)\n"
+    assert err == "error: search value 32 contradicts formula 0; witness 6^3,3^4\n"
 
 
 def test_sigma_k5c4_search():
@@ -300,6 +318,13 @@ def test_verify_rejects_n_below_one(n):
     assert err.startswith("error: bad --n value")
 
 
+def test_verify_rejects_an_empty_range():
+    code, out, err = run(["verify", "--n", "7..5"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --n value: empty range")
+
+
 def test_verify_bound_refusal():
     code, _, err = run(["verify", "--n", "12"])
     assert code == 2
@@ -339,13 +364,31 @@ def test_verify_mismatch_is_a_breach(monkeypatch):
         n=6,
         target="K6-C4",
         total_sequences=1,
-        agreements=0,
         mismatches=[Mismatch("5^6", "no", "COND1_D2", True)],
     )
     monkeypatch.setattr(cli, "verify_range", lambda *a, **k: fake)
     code, out, _ = run(["verify", "--n", "6"])
     assert code == 3
     assert "mismatch" in out
+
+
+def test_verify_json_lists_mismatches(monkeypatch):
+    # a decider wrong on one oracle-no and one oracle-yes sequence of n = 7
+    target = TARGETS["k6-c4"]
+    wrong = {"6,5,3^5": Verdict("K6-C4", "yes", "OK", n=7), "5^2,4^5": Verdict("K6-C4", "no", "COND3_FIXED", n=7)}
+
+    def decide(s):
+        return wrong.get(str(s)) or target.decide(s)
+
+    monkeypatch.setitem(TARGETS, "k6-c4", dataclasses.replace(target, decide=decide))
+    code, out, _ = run(["verify", "--n", "7", "--json"])
+    assert code == 3
+    report = json.loads(out)
+    assert report["mismatches"] == [
+        {"sequence": "6,5,3^5", "decider": "yes", "decider_reason": "OK", "oracle": "no"},
+        {"sequence": "5^2,4^5", "decider": "no", "decider_reason": "COND3_FIXED", "oracle": "yes"},
+    ]
+    assert report["agreements"] == report["total_sequences"] - 2 == 238
 
 
 def test_progress_goes_to_stderr_not_stdout():

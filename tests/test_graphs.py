@@ -8,6 +8,7 @@ from potseq.graphs import (
     Graph,
     K5_MINUS_C4,
     K6_MINUS_C4,
+    TargetPattern,
     complete_graph,
     contains_pattern,
     cycle_graph,
@@ -50,6 +51,12 @@ def test_graph_validation():
         Graph(1, (1,))  # loop
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError, match="^adjacency length != n$"):
+        Graph(3, (0, 0))
+    with pytest.raises(ValueError, match="^loop at vertex 1$"):
+        Graph.from_edges(3, [(0, 1), (1, 1)])
+    with pytest.raises(ValueError, match="n >= 3"):
+        cycle_graph(2)
 
 
 def reference_check(n, adj):
@@ -148,6 +155,7 @@ def test_graph_accessors():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
     assert g.degrees() == (1, 2, 1, 0)
+    assert [g.degree(u) for u in range(4)] == [1, 2, 1, 0]
     assert list(g.edges()) == [(0, 1), (1, 2)]
     assert g.num_edges == 2
     assert g.neighbors(1) == (0, 2)
@@ -247,6 +255,12 @@ def test_contains_pattern_fixtures():
     assert contains_pattern(K5_MINUS_C4.as_graph(), K5_MINUS_C4)
     star = Graph.from_edges(6, [(0, i) for i in range(1, 6)])
     assert not contains_pattern(star, K6_MINUS_C4)
+
+
+def test_contains_pattern_refuses_patterns_past_ten_vertices():
+    path = TargetPattern("P11", 11, tuple((i, i + 1) for i in range(10)))
+    with pytest.raises(ValueError, match="too large"):
+        contains_pattern(complete_graph(11), path)
 
 
 def test_contains_equivalence_exhaustive_n6():
@@ -422,6 +436,15 @@ def test_graph6_rejects_malformed(bad):
         decode_graph6(bad)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("A!", "byte out of range: '!'"), ("A\x7f", "byte out of range"), ("~??~", "long-form graph6 not supported")],
+)
+def test_graph6_names_what_it_refuses(text, message):
+    with pytest.raises(ValueError, match=message):
+        decode_graph6(text)
+
+
 def test_graph6_rejects_nonzero_padding():
     with pytest.raises(ValueError):
         decode_graph6("A" + chr(63 + 1))  # only the top bit may be used for n=2
@@ -445,6 +468,11 @@ def test_edgelist_round_trip():
 def test_edgelist_requires_header():
     with pytest.raises(ValueError):
         from_edgelist("0 1\n")
+
+
+def test_edgelist_rejects_a_bad_edge_line():
+    with pytest.raises(ValueError, match=r"^bad edge line: '0 1 2'$"):
+        from_edgelist("n=3\n0 1\n0 1 2\n")
 
 
 def test_dot_output():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -107,6 +108,26 @@ def test_realize_with_k6c4_enforces_decider():
 def test_realize_with_k6c4_unchecked_failure():
     # excluded by the counting condition; no placement on the top six can work
     assert search._place_km_c4(seq("5^3,3^3").terms, 6) is None
+
+
+def test_realizer_reports_a_placement_that_does_not_complete(monkeypatch):
+    monkeypatch.setattr(search, "_place_km_c4", lambda d, m: None)
+    message = r"^no embedded realization of 5\^2,4\^5 completes on the top 6 vertices$"
+    with pytest.raises(EmbeddingFailure, match=message):
+        realize_with_k6c4(seq("5^2,4^5"))
+
+
+def test_target_realizes_with_its_own_decider():
+    # a registry entry with another decider asks that decider, not the
+    # registered one
+    class Boom(Exception):
+        pass
+
+    def boom(s):
+        raise Boom
+
+    with pytest.raises(Boom):
+        dataclasses.replace(TARGETS["k6-c4"], decide=boom).realize(seq("5^2,4^5"))
 
 
 def test_realizers_refuse_too_short_sequences():
@@ -769,6 +790,16 @@ def test_oracle_refuses_unregistered_pattern():
         oracle_decide_pattern(seq("2^3"), triangle)
 
 
+def test_an_equal_pattern_finds_its_target():
+    # an unpickled pattern equals the registered one without being it
+    copy = pickle.loads(pickle.dumps(K5_MINUS_C4))
+    assert copy is not K5_MINUS_C4 and copy == K5_MINUS_C4
+    assert oracle_decide_pattern(seq("4^5"), copy) is True
+    assert oracle_decide_pattern(seq("4,2^5"), copy) is False
+    rep = verify_range(5, copy)
+    assert (rep.target, rep.total_sequences, rep.mismatches) == ("K5-C4", 20, [])
+
+
 def exhaustive_only(s, pattern):
     # the reference: the completion search alone, with the generic full
     # containment test, no dominance precheck and no placement witness
@@ -975,8 +1006,8 @@ def test_cut_test_matches_capped_embedding_random():
 @pytest.mark.parametrize("text,pattern", [("4^5,3^2,2^2", K6_MINUS_C4), ("4^5", K6_MINUS_C4), ("3^6", K5_MINUS_C4)])
 def test_cut_engine_stops_at_a_root_without_dominance(text, pattern):
     # no term, or too few terms, reach the pattern's degrees: the search
-    # answers after the base's one full test, with no step, as the exhaustive
-    # reference does after searching every realization
+    # answers with no step and no test, as the exhaustive reference does
+    # after searching every realization
     demand = seq(text).terms
     key = search._key_of(pattern)
     calls = []
@@ -986,14 +1017,14 @@ def test_cut_engine_stops_at_a_root_without_dominance(text, pattern):
         return TARGETS[key].accept(adj, u)
 
     assert _complete(demand, [0] * len(demand), counted, pattern) is None
-    assert calls == [-1]
+    assert calls == []
     assert reference_complete(demand, [0] * len(demand), TARGETS[key].accept) is None
 
 
 def test_cut_saves_search_work(monkeypatch):
     # accept calls of the oracle on the seven slowest K6-C4 *no* sequences of
-    # n = 9; without the cut they make 1,406, 1,260, 1,054, 1,015, 938, 202
-    # and 199 calls
+    # n = 9; without the cut they make 1,405, 1,259, 1,053, 1,014, 937, 201
+    # and 198 calls
     target = TARGETS["k6-c4"]
     calls = []
 
@@ -1008,13 +1039,13 @@ def test_cut_saves_search_work(monkeypatch):
         assert oracle_decide_k6c4(seq(text)) is False
         counts[text] = len(calls)
     assert counts == {
-        "5^2,4,3^6": 52,
-        "5^2,4,3^5,1": 58,
-        "5^2,3^6,2": 21,
-        "5^2,3^5,2,1": 33,
-        "5^2,4^7": 28,
-        "6,5,3^7": 16,
-        "6,5,3^6,1": 30,
+        "5^2,4,3^6": 51,
+        "5^2,4,3^5,1": 57,
+        "5^2,3^6,2": 20,
+        "5^2,3^5,2,1": 32,
+        "5^2,4^7": 27,
+        "6,5,3^7": 15,
+        "6,5,3^6,1": 29,
     }
 
 
@@ -1052,6 +1083,12 @@ def test_enumeration_examples():
 
 def test_enumeration_counts():
     assert [sum(1 for _ in enumerate_graphic_sequences(n)) for n in range(1, 9)] == [0, 1, 2, 7, 20, 71, 240, 871]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumeration_refuses_lengths_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        enumerate_graphic_sequences(n)
 
 
 def test_enumeration_is_lexicographically_decreasing():

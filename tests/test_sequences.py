@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potseq.search import enumerate_graphic_sequences
 from potseq.sequences import (
     MAX_TERMS,
     DegreeSequence,
@@ -138,6 +139,13 @@ def test_render_long_run():
     assert render_notation(parse_notation("2^1000000")) == "2^1000000"
 
 
+def test_sequence_iterates_measures_and_prints_its_terms():
+    s = seq("5^2,3,1^2")
+    assert list(s) == [5, 5, 3, 1, 1]
+    assert len(s) == s.n == 5
+    assert str(s) == "5^2,3,1^2"
+
+
 # The grammar as a regular expression: the reference for parse_notation.
 # Python's \s and \d on str patterns are str.isspace and str.isdecimal.
 _ITEM_RE = re.compile(r"^\s*(\d+)\s*(?:\^\s*(\d+)\s*)?$")
@@ -266,6 +274,20 @@ def test_layoff_resorts():
 def test_layoff_large_term_excludes_own_position():
     # d_2 = 3 >= 2: one is laid off against positions 1, 3, 4
     assert layoff(seq("3,3,3,3"), 2).terms == (2, 2, 2)
+
+
+def test_layoff_default_is_the_classical_child():
+    # the smallest term d_n laid off onto the d_n largest terms
+    count = 0
+    for n in range(1, 9):
+        for s in enumerate_graphic_sequences(n):
+            d = s.terms
+            child = layoff(s)
+            assert child == DegreeSequence.of([x - 1 for x in d[: d[-1]]] + list(d[d[-1] : -1])), d
+            assert child.sigma == s.sigma - 2 * d[-1]
+            assert is_graphic(child)
+            count += 1
+    assert count == 1 + 2 + 7 + 20 + 71 + 240 + 871
 
 
 def test_layoff_index_errors():
