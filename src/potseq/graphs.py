@@ -400,8 +400,8 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(text: str) -> Graph:
-    """Exact inverse of :func:`encode_graph6`."""
-    s = text.strip()
+    """Exact inverse of :func:`encode_graph6`, up to ASCII whitespace around it."""
+    s = text.strip(" \t\n\r\v\f")  # string.whitespace; a bare strip() also drops \x1c-\x1f
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:

@@ -2,10 +2,11 @@
 potential-subgraph oracle, graphic-sequence enumeration, and
 decider-vs-oracle verification, which also reads off the sigma threshold.
 
-One completion engine, ``_complete``, serves the oracle and the realizer.
-It saturates one vertex at a time (largest residual first, neighbor sets in
-lexicographic order) with an Erdos-Gallai feasibility check on the non-zero
-residual demands after each step.  Every edge it adds has a saturated end,
+One completion engine, ``_complete``, builds every realization: the
+oracle's, the realizer's and ``realize_graphic``'s.  It saturates one
+vertex at a time (largest residual first, neighbor sets in lexicographic
+order) with an Erdos-Gallai feasibility check on the non-zero residual
+demands after each step.  Every edge it adds has a saturated end,
 so unsaturated vertices are adjacent only through edges of the starting
 graph, and a step finds its candidates from the residuals and that graph
 alone, without a scan of the partial graph.  Candidates with equal
@@ -103,7 +104,7 @@ from operator import eq, ge, sub
 from typing import Callable, Iterator, Sequence
 
 from .characterize import Verdict, decide_k5c4, decide_k6c4, sigma_formula_k6c4
-from .graphs import Graph, K5_MINUS_C4, K6_MINUS_C4, TargetPattern, _find_km_minus_c4_adj
+from .graphs import Graph, K5_MINUS_C4, K6_MINUS_C4, PatternWitness, TargetPattern, _find_km_minus_c4_adj
 from .sequences import DegreeSequence, _eg_ok, is_graphic, render_notation
 
 __all__ = [
@@ -152,36 +153,16 @@ def _check_bound(n: int, bound: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# plain realization (greedy, highest degree first)
+# plain realization
 
 
 def realize_graphic(seq: DegreeSequence) -> Graph:
-    """Deterministic realization of a graphic sequence.
-
-    Saturates the vertex with the largest remaining demand by connecting it
-    to the vertices with the next-largest demands.
-    """
+    """Deterministic realization of a graphic sequence: the completion
+    engine's first completion of the empty graph, which never dead-ends
+    there (see ``_complete``)."""
     if not is_graphic(seq):
         raise ValueError(f"not graphic: {render_notation(seq)}")
-    n = seq.n
-    residual = list(seq.terms)
-    adj = [0] * n
-    while True:
-        u = max(range(n), key=lambda v: (residual[v], -v), default=-1)
-        if u < 0 or residual[u] == 0:
-            break
-        partners = sorted(
-            (v for v in range(n) if v != u and residual[v] > 0),
-            key=lambda v: (-residual[v], v),
-        )[: residual[u]]
-        if len(partners) < residual[u]:
-            raise AssertionError("greedy realization starved on graphic input")
-        for v in partners:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            residual[v] -= 1
-        residual[u] = 0
-    return Graph(n, tuple(adj))
+    return Graph(seq.n, tuple(_complete(seq.terms, [0] * seq.n, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +179,10 @@ def _complete(
     vertex ``v`` has gained ``demand[v]`` new neighbors.
 
     With ``accept`` None, returns the adjacency of the first completion in
-    search order, or None when there is none.  Otherwise returns the first
-    partial graph on which ``accept`` holds, or None when no completion
-    satisfies it.  ``accept`` must be monotone under edge addition,
+    search order, or None when there is none (``realize_graphic`` calls it
+    so on an empty base, where no step dead-ends).  Otherwise returns the
+    first partial graph on which ``accept`` holds, or None when no
+    completion satisfies it.  ``accept`` must be monotone under edge addition,
     invariant under isomorphism and false on the empty graph, and ``base``
     must be empty: only then does the Erdos-Gallai check prove that a
     partial graph can be completed.
@@ -215,7 +197,7 @@ def _complete(
     docstring).  A step that joins ``u`` to every unsaturated vertex leaves
     the bound graph as it was, so it is not tested.  A cut clears the mark
     that a leap's landing set passed, so the node's next set is checked
-    again.  The realizer passes no pattern and never builds the test.
+    again.  The realizers pass no pattern and never build the test.
 
     ``accept(adj, u)`` is called after each step that saturates ``u`` by
     adding the edges from ``u`` to a neighbor set, before the search goes
@@ -230,9 +212,10 @@ def _complete(
     ``base``, and a step's candidates are the other unsaturated vertices
     minus ``base[u]``, found without a scan of ``adj``; the filter runs
     only when ``base[u]`` is non-zero (the realizer's top m vertices;
-    never in the oracle's search, whose base is empty).  The Erdos-Gallai
-    check after a step looks at the non-zero residuals only: a saturated
-    vertex adds a zero term, which changes no inequality.
+    never in the oracle's search or ``realize_graphic``, whose base is
+    empty).  The Erdos-Gallai check after a step looks at the non-zero
+    residuals only: a saturated vertex adds a zero term, which changes no
+    inequality.
 
     A node saturates a vertex ``u`` with the largest residual ``r``.  That
     residual is read off the head of the live terms that the parent's check
@@ -581,15 +564,12 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOU
 # embedded realization (pattern placed on the top-degree vertices)
 
 
-@dataclass
-class RealizationCertificate:
-    """A realization with K_m - C4 placed on the first m vertices."""
+@dataclass(frozen=True)
+class RealizationCertificate(PatternWitness):
+    """A realization with K_m - C4 placed on the first m vertices: the
+    roles (hubs and pairs, whose union is ``hosts``) and the graph."""
 
     graph: Graph
-    hosts: tuple[int, ...]
-    hubs: tuple[int, ...]
-    pairs: tuple[tuple[int, int], tuple[int, int]]
-    checked: bool = False
 
     def role_edges(self) -> list[tuple[int, int]]:
         edges = set()
@@ -602,7 +582,7 @@ class RealizationCertificate:
         return sorted(edges)
 
     def revalidate(self, seq: DegreeSequence) -> None:
-        """Check degrees and the stated embedding; sets ``checked``.
+        """Check degrees and the stated embedding.
 
         The role edges are checked by masks; only when one is missing does
         the edge-by-edge scan run, to name the first missing edge.  A role
@@ -615,10 +595,9 @@ class RealizationCertificate:
         # the positive degrees, sorted: the terms of the graph's DegreeSequence
         if tuple(sorted(filter(None, map(int.bit_count, adj)), reverse=True)) != seq.terms:
             raise EmbeddingFailure("certificate degrees do not match the sequence")
-        hosts = set(self.hosts)
-        roles = set(self.hubs).union(*self.pairs)
+        hosts = self.hosts
         m = len(self.hubs) + 4
-        split = sum(map(len, self.pairs)) == 4 and len(roles) == m == len(self.hosts) and roles == hosts
+        split = sum(map(len, self.pairs)) == 4 and len(set(hosts)) == m
         found = split and min(hosts) >= 0 and max(hosts) < n
         if found:
             mask = sum(1 << x for x in hosts)
@@ -633,7 +612,6 @@ class RealizationCertificate:
                 raise EmbeddingFailure(
                     f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
                 )
-        self.checked = True
 
 
 class _Placement(tuple):
@@ -906,8 +884,8 @@ class Target:
             raise EmbeddingFailure(
                 f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
             )
-        adj, (hubs, pairs) = found
-        cert = RealizationCertificate(Graph(seq.n, tuple(adj)), tuple(range(m)), hubs, pairs)
+        adj, row = found
+        cert = RealizationCertificate(*row, Graph(seq.n, tuple(adj)))
         cert.revalidate(seq)
         return cert
 

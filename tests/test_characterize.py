@@ -61,6 +61,21 @@ def test_exception_table_order_and_ends():
     assert render_notation(table.fixed[22]) == "5^2,3^5,1"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("5^6\n5^6\n", "exception table has duplicate entries"),
+        ("5^6\n3^3\n", "exception table entry has odd sum: 3\\^3"),
+        ("5^6\n3^3,1\n", "exception table entry is not graphic: 3\\^3,1"),
+    ],
+)
+def test_exception_table_refuses_a_bad_entry(monkeypatch, tmp_path, text, message):
+    (tmp_path / "k6c4_exceptions.txt").write_text(text)
+    monkeypatch.setattr(characterize.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExceptionTable.load()
+
+
 def test_exception_match_index():
     table = k6c4_exceptions()
     assert table.match(seq("6^2,3^6")) == 2

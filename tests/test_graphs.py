@@ -432,13 +432,25 @@ def test_graph6_header_tolerated():
 
 @pytest.mark.parametrize("bad", ["", "A", "A_extra", "A\x1f"])
 def test_graph6_rejects_malformed(bad):
-    with pytest.raises(ValueError):
+    # "\x1f" is whitespace to str.strip(), but a bad byte to graph6
+    with pytest.raises(ValueError, match="byte out of range" if bad == "A\x1f" else None):
         decode_graph6(bad)
+
+
+def test_graph6_strips_only_ascii_whitespace():
+    assert decode_graph6(" E}zO\r\n") == decode_graph6("E}zO")
 
 
 @pytest.mark.parametrize(
     "text, message",
-    [("A!", "byte out of range: '!'"), ("A\x7f", "byte out of range"), ("~??~", "long-form graph6 not supported")],
+    [
+        ("A!", "byte out of range: '!'"),
+        ("A\x7f", "byte out of range"),
+        ("~??~", "long-form graph6 not supported"),
+        # str.strip() would drop these as whitespace
+        ("E}zO\x1f", r"byte out of range: '\\x1f'"),
+        ("E}zO\u3000", r"byte out of range: '\\u3000'"),
+    ],
 )
 def test_graph6_names_what_it_refuses(text, message):
     with pytest.raises(ValueError, match=message):

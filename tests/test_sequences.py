@@ -475,6 +475,11 @@ def test_graphic_4321_examples():
     assert graphic_4321(1, 0, 2, 0) is None  # n < 5
 
 
+def test_graphic_4321_refuses_a_negative_multiplicity():
+    with pytest.raises(ValueError, match="multiplicities must be nonnegative"):
+        graphic_4321(-1, 0, 0, 0)
+
+
 def test_graphic_4321_matches_inequality_test():
     for x in range(0, 11):
         for y in range(0, 11 - x):
