@@ -41,6 +41,29 @@ would pass.  The node's iterator then resumes after the landing set, so a
 later backtrack (after a dead end, or in the oracle's exhaustive *no*
 search) scans on exactly as before.
 
+With no containment test, a node applies its first set without the
+check, and the check waits until the search below gets stuck.  Most first
+sets pass, so most of those checks would only confirm a pass.  Deferring
+rests on the lay-off lemma (Hakimi 1962; Kleitman and Wang 1973): if the
+residuals after a step are graphic, so are those before it, since adding
+back ``u``, joined to its set, realizes them.  A completion below a state
+proves that the state passes, because the check is necessary; and a
+passing state proves every state above it on the path, nearer the root.
+So the failing states on a path are its deepest ones.  At a dead end the engine checks
+the unchecked states from the top of the stack, pops each frame whose
+state fails, and reopens the shallowest of them with one failure counted.
+Its node is the first one whose check the eager engine would have seen
+fail: up to it every check passes, and both engines apply the same sets.
+So its scan, twin map and leap run as they would have, and the engine
+makes the same decisions and returns the same graphs with fewer checks.
+Two rules limit what a failing unchecked set costs.  Once a dead end's
+check finds a failing state, the call checks every set for the rest of its
+search, since its input is one on which first sets fail.  And
+``_place_km_c4`` defers only in the first placement class it tries: a
+later class runs only after an earlier one failed, which marks a likely
+*no*.  The oracle's search checks every set, because it returns the first
+partial graph that ``accept`` passes, and that graph must complete.
+
 The oracle, ``oracle_decide``, answers *no* when the sorted terms do not
 dominate the pattern's sorted degrees; decider/oracle agreement on the
 deciders' condition (1) therefore holds by construction, and the brute-force
@@ -158,8 +181,8 @@ def _check_bound(n: int, bound: int) -> None:
 
 def realize_graphic(seq: DegreeSequence) -> Graph:
     """Deterministic realization of a graphic sequence: the completion
-    engine's first completion of the empty graph, which never dead-ends
-    there (see ``_complete``)."""
+    engine's first completion of the empty graph, which exists because the
+    check is exact there (see ``_complete``)."""
     if not is_graphic(seq):
         raise ValueError(f"not graphic: {render_notation(seq)}")
     return Graph(seq.n, tuple(_complete(seq.terms, [0] * seq.n, None)))
@@ -173,19 +196,23 @@ _Accept = Callable[[list[int], int], bool]
 
 
 def _complete(
-    demand: Sequence[int], base: Sequence[int], accept: _Accept | None, pattern: TargetPattern | None = None
+    demand: Sequence[int],
+    base: Sequence[int],
+    accept: _Accept | None,
+    pattern: TargetPattern | None = None,
+    defer: bool = True,
 ) -> list[int] | None:
     """Add edges to the graph ``base`` (adjacency bitmasks) until every
     vertex ``v`` has gained ``demand[v]`` new neighbors.
 
     With ``accept`` None, returns the adjacency of the first completion in
     search order, or None when there is none (``realize_graphic`` calls it
-    so on an empty base, where no step dead-ends).  Otherwise returns the
-    first partial graph on which ``accept`` holds, or None when no
-    completion satisfies it.  ``accept`` must be monotone under edge addition,
-    invariant under isomorphism and false on the empty graph, and ``base``
-    must be empty: only then does the Erdos-Gallai check prove that a
-    partial graph can be completed.
+    so on an empty base, where no checked step dead-ends).  Otherwise
+    returns the first partial graph on which ``accept`` holds, or None when
+    no completion satisfies it.  ``accept`` must be monotone under edge
+    addition, invariant under isomorphism and false on the empty graph, and
+    ``base`` must be empty: only then does the Erdos-Gallai check prove
+    that a partial graph can be completed.
 
     With ``pattern`` given, a K_m - C4, ``accept`` must hold exactly on the
     graphs that contain it.  The search then returns None at once when the
@@ -219,12 +246,13 @@ def _complete(
 
     A node saturates a vertex ``u`` with the largest residual ``r``.  That
     residual is read off the head of the live terms that the parent's check
-    has just sorted; only at the root, and after a leap's landing set,
-    which is not checked, is it found by ``max``.  Each saturated vertex
-    has a frame on an explicit stack: ``[u, r, cands, combinations
-    iterator, twin map, set applied, sets failed]``, the last None once a
-    set of the node has passed.  The first set, ``cands[:r]``, never takes
-    a twin without its earlier twins, so it is tried as the node opens.
+    has just sorted; only at the root, and after a set that is not checked
+    (a leap's landing set, or an unchecked first set), is it found by
+    ``max``.  Each saturated vertex has a frame on an explicit stack: ``[u,
+    r, cands, combinations iterator, twin map, set applied, sets failed]``,
+    the last None once a set of the node has passed or is applied
+    unchecked.  The first set, ``cands[:r]``, never takes a twin without
+    its earlier twins, so it is tried as the node opens.
     The iterator and the twin map (slots 3 and 4) stay None until the node
     first backtracks, which most nodes never do; then the iterator is
     built and advanced past the first set, and the twin map is built.  The
@@ -236,6 +264,22 @@ def _complete(
     the leap waits for the fourth failure.  The module docstring proves
     the lemma the leap rests on, and that the leap expands the same sets
     as the scan.
+
+    With ``accept`` None and ``defer`` true, a node applies its first set
+    without the check, and its frame is marked unchecked: the unchecked
+    frames are those from index ``checked`` to the top of the stack, so one
+    index marks them all.  Their nodes have tried no other set, so the
+    first backtrack into one of them comes after a dead end.  There the
+    unchecked states are checked from the top of the stack: each failing
+    frame is popped, and the shallowest of them is pushed back with its set
+    undone and one failure counted, as if its first set had just failed
+    the check.  A passing state proves every frame under it on the stack
+    (the lay-off lemma in the module docstring), and a node that backtracks
+    has only passing frames under it; either way ``checked`` then moves to
+    the top of the stack.  Once a check has failed, ``defer`` is off for
+    the rest of the call.  ``_place_km_c4`` passes ``defer`` false after
+    its first placement class fails.  The module docstring proves that the
+    outputs do not change.
     """
     if sum(demand) % 2:
         return None
@@ -250,12 +294,17 @@ def _complete(
         holds = _bound_test(demand, pattern)
     # the next node's largest residual: the head of the live terms the check
     # has just sorted, or their max where no check ran (at the root, and
-    # after a leap's landing set)
+    # after a leap's landing set or an unchecked first set)
     top = max(residual) if n else 0
     stack: list[list] = []
+    # first sets go unchecked only with no containment test; the frames
+    # below ``checked`` hold states known to pass
+    defer = defer and accept is None
+    checked = 0
     while True:
         # open a node on the current graph and take its first neighbor set;
-        # ``passed``: the set is known to pass the check
+        # ``passed``: the set is not checked, since it is known to pass or
+        # its check is deferred
         passed = False
         combo = None
         r = top
@@ -273,8 +322,31 @@ def _complete(
                 frame = [u, r, cands, None, None, (), 0]
                 stack.append(frame)
                 combo = tuple(cands[:r])
+                # unchecked: the frames from ``checked`` up are checked at
+                # the next dead end
+                passed = defer
             else:
                 residual[u] = r
+                if defer and len(stack) > checked:
+                    # a dead end: check the unchecked frames from the top;
+                    # pop those that fail, and reopen the shallowest of them
+                    failing = None
+                    while len(stack) > checked and not _eg_ok(sorted(filter(None, residual), reverse=True)):
+                        failing = stack.pop()
+                        u, r, _, _, _, applied, _ = failing
+                        bit = 1 << u
+                        for v in applied:
+                            adj[u] ^= 1 << v
+                            adj[v] ^= bit
+                            residual[v] += 1
+                        residual[u] = r
+                    if failing is not None:
+                        residual[failing[0]] = 0
+                        failing[5] = ()
+                        failing[6] = 1
+                        stack.append(failing)
+                        defer = False
+                    checked = len(stack)
         while True:
             if combo is None:
                 # backtrack: the next set of the deepest open node
@@ -297,6 +369,8 @@ def _complete(
                 if combo is None:
                     residual[u] = r
                     stack.pop()
+                    # the frame was scanning, so every frame below it passes
+                    checked = len(stack)
                     continue
             for v in combo:
                 residual[v] -= 1
@@ -589,7 +663,8 @@ class RealizationCertificate(PatternWitness):
         vertex outside 0..n-1 makes its role edges missing.  Then the roles
         must be m = len(hubs) + 4 distinct hosts, split into the hubs and
         two disjoint pairs that cover the rest: only then do the role edges
-        form K_m - C4."""
+        form K_m - C4.  Roles without exactly two pairs of two vertices each
+        name no edge, and fail on that split alone."""
         n = self.graph.n
         adj = self.graph.adj
         # the positive degrees, sorted: the terms of the graph's DegreeSequence
@@ -597,21 +672,22 @@ class RealizationCertificate(PatternWitness):
             raise EmbeddingFailure("certificate degrees do not match the sequence")
         hosts = self.hosts
         m = len(self.hubs) + 4
-        split = sum(map(len, self.pairs)) == 4 and len(set(hosts)) == m
+        paired = tuple(map(len, self.pairs)) == (2, 2)
+        split = paired and len(set(hosts)) == m
         found = split and min(hosts) >= 0 and max(hosts) < n
         if found:
             mask = sum(1 << x for x in hosts)
             found = all((adj[h] | 1 << h) & mask == mask for h in self.hubs) and all(
                 adj[a] >> b & 1 for a, b in self.pairs
             )
-        if not found:
+        if not found and paired:
             for u, v in self.role_edges():
                 if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
                     raise EmbeddingFailure(f"certificate is missing role edge ({u},{v})")
-            if not split:
-                raise EmbeddingFailure(
-                    f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
-                )
+        if not split:
+            raise EmbeddingFailure(
+                f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
+            )
 
 
 class _Placement(tuple):
@@ -689,16 +765,19 @@ def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | Non
     hold exactly when no demand is negative.  A class key fixes both least
     terms, so a class passes or fails as a whole: skipping the rows that
     fail tries the first member of each passing class, as deduplicating
-    the passing placements would."""
+    the passing placements would.  Only the first class it tries defers
+    the completion engine's first-set checks (see ``_complete``)."""
     tail = d[m:]
     zeros = [0] * len(tail)
+    defer = True
     # a display, not tuple(map(...)): a tuple built from an iterator is
     # resized, and freed into a free list it never takes from
     for h, q, row in _class_list((*map(eq, d, d[1:m]),)):
         if d[h] >= m - 1 and d[q] >= m - 3:
-            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None)
+            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None, None, defer)
             if adj is not None:
                 return adj, row
+            defer = False
     return None
 
 

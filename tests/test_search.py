@@ -223,6 +223,9 @@ ROLES_MESSAGE = "certificate roles are not 6 distinct hosts split into hubs and 
         ({"sequence": "5^6", "pairs": ((1, 4), (3, 5))}, ROLES_MESSAGE),
         ({"sequence": "5^6", "pairs": ((2, 3), (2, 3))}, ROLES_MESSAGE),
         ({"sequence": "5^6", "pairs": ((2, 4), (3, 4))}, ROLES_MESSAGE),
+        # the pair lengths sum to 4, but the pairs are not two pairs
+        ({"sequence": "5^6", "pairs": ((2, 3, 4), (5,))}, ROLES_MESSAGE),
+        ({"sequence": "5^6", "pairs": ((2, 3), (4, 5), ())}, ROLES_MESSAGE),
     ],
 )
 def test_revalidate_names_the_first_missing_edge(change, message):
@@ -348,13 +351,15 @@ def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
     # a node tries its first set before it builds a combinations iterator or
     # a twin map, and builds both on its first backtrack only: over the
     # realizer's placements of every decider-yes sequence with n <= 9, the
-    # two are built equally often, and far less often than sets are checked
+    # two are built equally often, and far less often than sets are checked.
+    # Checking every set makes 31,480 checks, and the same 1,950 nodes
+    # backtrack
     problems = []
     engine = search._complete
 
-    def recorded(demand, base, accept):
-        problems.append((list(demand), list(base)))
-        return engine(demand, base, accept)
+    def recorded(demand, base, accept, pattern=None, defer=True):
+        problems.append((list(demand), list(base), defer))
+        return engine(demand, base, accept, pattern, defer)
 
     monkeypatch.setattr(search, "_complete", recorded)
     for n in range(5, 10):
@@ -372,10 +377,10 @@ def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(search, name, counted)
-    for demand, base in problems:
-        engine(demand, base, None)
+    for demand, base, defer in problems:
+        engine(demand, base, None, None, defer)
     assert len(problems) == 7105
-    assert built == {"combinations": 1950, "_twin_before": 1950, "_eg_ok": 31480}
+    assert built == {"combinations": 1950, "_twin_before": 1950, "_eg_ok": 7152}
 
 
 def test_completion_engine_matches_reference_random():
@@ -404,8 +409,8 @@ def test_completion_engine_matches_reference_on_placements(monkeypatch):
     engine = search._complete
     problems = []
 
-    def both(demand, base, accept):
-        got = engine(demand, base, accept)
+    def both(demand, base, accept, pattern=None, defer=True):
+        got = engine(demand, base, accept, pattern, defer)
         assert got == reference_complete(demand, base, accept), (list(demand), list(base))
         problems.append(got is not None)
         return got
@@ -421,6 +426,61 @@ def test_completion_engine_matches_reference_on_placements(monkeypatch):
             if s.n >= m:
                 search._place_km_c4(s.terms, m)
     assert len(problems) > 500 and False in problems
+
+
+def test_deferred_checks_make_the_eager_decisions(monkeypatch):
+    # the realizer's placement problems for seeded G(n,p) sequences with
+    # n = 12..32 and mean degree 8..10, on which many unchecked first sets
+    # fail: with its first sets unchecked, the engine builds the same twin
+    # maps, leaps from the same sets and returns the same graph as when it
+    # checks every set, and as the reference does, in fewer checks
+    engine = search._complete
+    problems = []
+
+    def recorded(demand, base, accept, pattern=None, defer=True):
+        problems.append((list(demand), list(base)))
+        return engine(demand, base, accept, pattern, defer)
+
+    monkeypatch.setattr(search, "_complete", recorded)
+    rng = random.Random(25)
+    for i in range(210):
+        n = 12 + i % 21
+        s = DegreeSequence.of(gnp_degrees(rng, n, rng.uniform(8, 10) / (n - 1)))
+        for m in (6, 5):
+            search._place_km_c4(s.terms, m)
+    monkeypatch.setattr(search, "_complete", engine)
+    log, checks = [], []
+    twin_before, first_passing = search._twin_before, search._first_passing
+
+    def twins(adj, residual, cands):
+        log.append((tuple(adj), tuple(residual), tuple(cands)))
+        return twin_before(adj, residual, cands)
+
+    def leap(residual, cands, r, after):
+        log.append((tuple(residual), tuple(cands), r, after))
+        return first_passing(residual, cands, r, after)
+
+    def counted(terms):
+        checks.append(_eg_ok(terms))
+        return checks[-1]
+
+    monkeypatch.setattr(search, "_twin_before", twins)
+    monkeypatch.setattr(search, "_first_passing", leap)
+    monkeypatch.setattr(search, "_eg_ok", counted)
+    resolved = 0
+    calls = {True: 0, False: 0}
+    for demand, base in problems:
+        runs = {}
+        for defer in (True, False):
+            del log[:], checks[:]
+            runs[defer] = engine(demand, base, None, None, defer), list(log)
+            calls[defer] += len(checks)
+            # before its first dead end, a deferring run checks nothing: a
+            # first check that fails found an unchecked first set failing
+            resolved += defer and checks[:1] == [False]
+        assert runs[True] == runs[False], (demand, base)
+        assert runs[True][0] == reference_complete(demand, base, None), (demand, base)
+    assert (len(problems), resolved, calls) == (420, 293, {True: 3816, False: 7704})
 
 
 class OverBudget(Exception):
@@ -442,9 +502,9 @@ def dense_placements_match_reference(monkeypatch, seed, sizes, count):
             raise OverBudget
         return _eg_ok(terms)
 
-    def both(demand, base, accept):
+    def both(demand, base, accept, pattern=None, defer=True):
         checks[0] = 0
-        got = engine(demand, base, accept)
+        got = engine(demand, base, accept, pattern, defer)
         assert got == reference_complete(demand, base, accept), (list(demand), list(base))
         problems.append(got)
         return got
@@ -658,7 +718,7 @@ def test_placements_try_every_class_in_order(monkeypatch):
     # the reference's order
     problems = []
 
-    def never(demand, base, accept):
+    def never(demand, base, accept, pattern=None, defer=True):
         problems.append((list(demand), list(base)))
         return None
 
@@ -691,9 +751,9 @@ def placements_pose_reference_problems(monkeypatch, tops):
     engine = search._complete
     problems = []
 
-    def recorded(demand, base, accept):
+    def recorded(demand, base, accept, pattern=None, defer=True):
         problems.append((list(demand), list(base)))
-        return engine(demand, base, accept)
+        return engine(demand, base, accept, pattern, defer)
 
     monkeypatch.setattr(search, "_complete", recorded)
     counts = []
