@@ -79,13 +79,13 @@ The oracle's test is ``accept(adj, u)`` (a full test for ``u = -1``), called
 after every step with ``u`` the vertex that step saturated.  The parent
 graph had no copy of the pattern (the root is empty) and the new edges all
 touch ``u``, so only copies through ``u`` need to be looked for.
-Both patterns are K_m - C4 (m = 6 and m = 5), and one test serves both: the
-K_m - C4 finder with m - 4 hubs (``_km_c4_accept``).  The hubs of a copy
-through ``u`` lie in N[u], since ``u`` is a hub or a quad vertex joined to
-every hub, so the finder takes its hubs from there, once ``u`` has at
-least the pattern's least degree (3 for K6-C4, 2 for K5-C4).  The engine
-keeps its frames on an explicit stack, so Python's recursion limit does
-not bound the length of a sequence.
+Both patterns are K_m - C4 (m = 6 and m = 5), so the test is a function of
+m: the K_m - C4 finder with m - 4 hubs (``_km_c4_accept(m)``).  The hubs of
+a copy through ``u`` lie in N[u], since ``u`` is a hub or a quad vertex
+joined to every hub, so the finder takes its hubs from there, once ``u``
+has at least the pattern's least degree m - 3 (3 for K6-C4, 2 for K5-C4).
+The engine keeps its frames on an explicit stack, so Python's recursion
+limit does not bound the length of a sequence.
 
 The oracle's search also cuts the steps below which no partial graph can
 hold the pattern.  Call a vertex unsaturated while its residual is
@@ -571,12 +571,14 @@ def _dominates(terms: Sequence[int], degrees: tuple[int, ...]) -> bool:
     return len(terms) >= len(degrees) and all(map(ge, terms, degrees))
 
 
-def _km_c4_accept(pattern: TargetPattern) -> _Accept:
-    """The oracle's containment test ``accept(adj, u)`` for K_m - C4, from
-    the K_m - C4 finder with m - 4 hubs.  A copy through u has its hubs in
-    N[u], and puts u on a vertex of at least the pattern's least degree."""
-    hub_count = pattern.vertex_count - 4
-    least = pattern.degree_multiset[-1]
+@cache
+def _km_c4_accept(m: int) -> _Accept:
+    """The oracle's containment test ``accept(adj, u)`` for K_m - C4 (a
+    full test for ``u = -1``, else only copies through ``u``), from the
+    K_m - C4 finder with m - 4 hubs.  A copy through u has its hubs in
+    N[u], and puts u on a vertex of at least the least degree m - 3."""
+    hub_count = m - 4
+    least = m - 3
 
     def accept(adj: list[int], u: int) -> bool:
         if u < 0:
@@ -597,14 +599,16 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int = DEFAULT_ORAC
     answer.  So the answer never depends on the placement claim."""
     if not _oracle_pre(seq, target, bound):
         return False
-    found = _place_km_c4(seq.terms, target.pattern.vertex_count)
+    m = target.pattern.vertex_count
+    accept = _km_c4_accept(m)
+    found = _place_km_c4(seq.terms, m)
     if found is not None:
         adj = found[0]
         # every row: a padded witness must not pass on its first n rows
         # a display: see _place_km_c4
-        if (*map(int.bit_count, adj),) == seq.terms and target.accept(adj, -1):
+        if (*map(int.bit_count, adj),) == seq.terms and accept(adj, -1):
             return True
-    return _complete(seq.terms, [0] * seq.n, target.accept, target.pattern) is not None
+    return _complete(seq.terms, [0] * seq.n, accept, target.pattern) is not None
 
 
 def oracle_decide_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
@@ -623,7 +627,7 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOU
     target = TARGETS["k6-c4"]
     if not _oracle_pre(seq, target, bound):
         return None
-    adj = _complete(seq.terms, [0] * seq.n, target.accept, target.pattern)
+    adj = _complete(seq.terms, [0] * seq.n, _km_c4_accept(target.pattern.vertex_count), target.pattern)
     if adj is None:
         return None
     residual = [d - a.bit_count() for d, a in zip(seq.terms, adj)]
@@ -818,13 +822,23 @@ def _graphic_from(n: int, head: tuple[int, ...]) -> Iterator[DegreeSequence]:
 
 @dataclass(frozen=True)
 class Mismatch:
+    """A sequence on which the decider and the oracle disagree, with the
+    decider's reason.  The reason fixes both answers: the decider said
+    *yes* iff the reason is "OK", and the oracle said the opposite."""
+
     sequence: str
-    decider: str
     decider_reason: str
-    oracle: bool
+
+    @property
+    def decider(self) -> str:
+        return "yes" if self.decider_reason == "OK" else "no"
+
+    @property
+    def oracle(self) -> bool:
+        return self.decider == "no"
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "oracle": "yes" if self.oracle else "no"}
+        return {**asdict(self), "decider": self.decider, "oracle": "yes" if self.oracle else "no"}
 
 
 @dataclass
@@ -862,11 +876,12 @@ class VerificationReport:
         )
 
 
-def _verify_shard(task: tuple[int, tuple[int, int], str, int]) -> tuple[int, list[Mismatch], DegreeSequence | None]:
+def _verify_shard(task: tuple[int, tuple[int, int], str]) -> tuple[int, list[Mismatch], DegreeSequence | None]:
     """Decider and oracle on the sequences of length n that start with
     ``head``: their count, the mismatches in enumeration order, and the
-    first oracle *no* of largest sum (or None)."""
-    n, head, key, bound = task
+    first oracle *no* of largest sum (or None).  ``verify_range`` has
+    checked n against the oracle bound, so the shard passes n as the bound."""
+    n, head, key = task
     target = TARGETS[key]
     count = 0
     mismatches: list[Mismatch] = []
@@ -874,9 +889,9 @@ def _verify_shard(task: tuple[int, tuple[int, int], str, int]) -> tuple[int, lis
     for seq in _graphic_from(n, head):
         count += 1
         verdict = target.decide(seq)
-        oracle = oracle_decide(seq, target, bound)
+        oracle = oracle_decide(seq, target, n)
         if verdict.is_yes != oracle:
-            mismatches.append(Mismatch(render_notation(seq), verdict.decision, verdict.reason, oracle))
+            mismatches.append(Mismatch(render_notation(seq), verdict.reason))
         if not oracle and (best is None or seq.sigma > best.sigma):
             best = seq
     return count, mismatches, best
@@ -903,7 +918,7 @@ def verify_range(
     _check_bound(n, bound)
     start = time.perf_counter()
     key = _key_of(target)
-    tasks = [(n, (a, b), key, bound) for a in range(n - 1, 0, -1) for b in range(a, 0, -1)]
+    tasks = [(n, (a, b), key) for a in range(n - 1, 0, -1) for b in range(a, 0, -1)]
     total = 0
     mismatches: list[Mismatch] = []
     best: DegreeSequence | None = None  # the first oracle *no* of largest sum
@@ -940,15 +955,14 @@ def verify_range(
 
 @dataclass(frozen=True)
 class Target:
-    """What potseq knows about one pattern: its closed-form decider, the
-    containment test ``accept(adj, u)`` that ``oracle_decide`` runs (a full
-    test for ``u = -1``, else only copies through ``u``; for both registered
-    patterns, ``_km_c4_accept``) and, when the paper gives one, its sigma
-    formula.  The minimum sequence length is ``pattern.vertex_count``."""
+    """What potseq knows about one pattern: its closed-form decider and,
+    when the paper gives one, its sigma formula.  The pattern is K_m - C4,
+    so the containment test that ``oracle_decide`` runs follows from m
+    (``_km_c4_accept``).  The minimum sequence length is
+    ``pattern.vertex_count``."""
 
     pattern: TargetPattern
     decide: Callable[[DegreeSequence], Verdict]
-    accept: _Accept
     sigma_formula: Callable[[int], int] | None
 
     def realize(self, seq: DegreeSequence) -> RealizationCertificate:
@@ -970,8 +984,8 @@ class Target:
 
 
 TARGETS = {
-    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, _km_c4_accept(K6_MINUS_C4), sigma_formula_k6c4),
-    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, _km_c4_accept(K5_MINUS_C4), None),
+    "k6-c4": Target(K6_MINUS_C4, decide_k6c4, sigma_formula_k6c4),
+    "k5-c4": Target(K5_MINUS_C4, decide_k5c4, None),
 }
 
 

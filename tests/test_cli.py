@@ -364,12 +364,16 @@ def test_verify_mismatch_is_a_breach(monkeypatch):
         n=6,
         target="K6-C4",
         total_sequences=1,
-        mismatches=[Mismatch("5^6", "no", "COND1_D2", True)],
+        mismatches=[Mismatch("5^6", "COND1_D2")],
     )
     monkeypatch.setattr(cli, "verify_range", lambda *a, **k: fake)
     code, out, _ = run(["verify", "--n", "6"])
     assert code == 3
-    assert "mismatch" in out
+    assert "  mismatch: 5^6: decider=no (COND1_D2) oracle=yes" in out.splitlines()
+    # the reason fixes both answers, so a record cannot contradict itself
+    assert [f.name for f in dataclasses.fields(Mismatch)] == ["sequence", "decider_reason"]
+    with pytest.raises(TypeError):
+        Mismatch("5^6", "yes", "COND1_D2", True)
 
 
 def test_verify_json_lists_mismatches(monkeypatch):

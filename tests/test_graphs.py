@@ -22,7 +22,7 @@ from potseq.graphs import (
     _find_km_minus_c4_adj,
     _matching_pair_in,
 )
-from potseq.search import TARGETS
+from potseq.search import _km_c4_accept
 
 RUN_LONG = bool(os.environ.get("POTSEQ_RUN_LONG"))
 
@@ -332,12 +332,12 @@ ANCHORED_TESTS = {
         lambda adj, u: _find_km_minus_c4_adj(adj, len(adj), 1, adj[u] | 1 << u) is not None,
     ),
     "K6-C4 oracle test": (
-        lambda adj: TARGETS["k6-c4"].accept(adj, -1),
-        TARGETS["k6-c4"].accept,
+        lambda adj: _km_c4_accept(6)(adj, -1),
+        _km_c4_accept(6),
     ),
     "K5-C4 oracle test": (
-        lambda adj: TARGETS["k5-c4"].accept(adj, -1),
-        TARGETS["k5-c4"].accept,
+        lambda adj: _km_c4_accept(5)(adj, -1),
+        _km_c4_accept(5),
     ),
 }
 

@@ -39,7 +39,7 @@ from potseq.search import (
     realize_with_k6c4,
     verify_range,
 )
-from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation
+from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, layoff, parse_notation, render_notation
 
 
 RUN_LONG = bool(os.environ.get("POTSEQ_RUN_LONG"))
@@ -131,6 +131,13 @@ def test_realizer_reports_a_placement_that_does_not_complete(monkeypatch):
     message = r"^no embedded realization of 5\^2,4\^5 completes on the top 6 vertices$"
     with pytest.raises(EmbeddingFailure, match=message):
         realize_with_k6c4(seq("5^2,4^5"))
+
+
+def test_a_target_stores_no_containment_test():
+    # the oracle's test follows from the pattern's vertex count, so no
+    # registry entry can pair its pattern with another pattern's test
+    assert [f.name for f in dataclasses.fields(search.Target)] == ["pattern", "decide", "sigma_formula"]
+    assert search._km_c4_accept(6) is search._km_c4_accept(6) is not search._km_c4_accept(5)
 
 
 def test_target_realizes_with_its_own_decider():
@@ -344,7 +351,7 @@ def reference_complete(demand, base, accept):
 
 def test_completion_engine_on_no_vertices():
     assert _complete([], [], None) == []
-    assert _complete([], [], TARGETS["k5-c4"].accept) is None
+    assert _complete([], [], search._km_c4_accept(5)) is None
 
 
 def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
@@ -398,7 +405,7 @@ def test_completion_engine_matches_reference_random():
     for _ in range(300):
         n = rng.randint(1, 9)
         demand = gnp_degrees(rng, n, rng.uniform(0.3, 0.9))
-        for accept in (TARGETS["k5-c4"].accept, TARGETS["k6-c4"].accept):
+        for accept in (search._km_c4_accept(5), search._km_c4_accept(6)):
             empty = [0] * n
             assert _complete(demand, empty, accept) == reference_complete(demand, empty, accept), demand
 
@@ -894,6 +901,53 @@ def test_oracle_engines_agree_small():
                 assert oracle_decide(s, target) == exhaustive_only(s, target.pattern), (target.pattern.name, s.terms)
 
 
+@pytest.fixture(scope="module")
+def oracle_through_n9():
+    # per target, the oracle's answer on every graphic sequence with n <= 9
+    return {
+        key: {s.terms: oracle_decide(s, target) for n in range(1, 10) for s in enumerate_graphic_sequences(n)}
+        for key, target in TARGETS.items()
+    }
+
+
+def test_oracle_obeys_the_layoff_lemma(oracle_through_n9):
+    # lay off the last term onto the largest others: when the child is
+    # potentially H-graphic, so is the parent, since adding back the vertex,
+    # joined to the lowered ones, keeps the copy of H.  No decider is asked
+    pairs = 0
+    for key, answers in oracle_through_n9.items():
+        for terms, yes in answers.items():
+            child = layoff(DegreeSequence(terms)).terms
+            if child and answers[child]:
+                pairs += 1
+                assert yes, (key, terms, child)
+    assert pairs == 6754
+
+
+def test_oracle_obeys_the_low_vertex_reduction(oracle_through_n9):
+    # a vertex of degree below H's least degree m - 3 lies in no copy of H,
+    # so deleting it keeps every copy: pi is potentially H-graphic iff some
+    # graphic child is, where a child lays the last term off onto any d_n of
+    # the other terms
+    reduced = children = 0
+    for key, answers in oracle_through_n9.items():
+        least = TARGETS[key].pattern.vertex_count - 3
+        for terms, yes in answers.items():
+            last = terms[-1]
+            if last >= least:
+                continue
+            rest = terms[:-1]
+            kids = set()
+            for picked in itertools.combinations(range(len(rest)), last):
+                child = DegreeSequence.of([t - (i in picked) for i, t in enumerate(rest)])
+                if is_graphic(child):
+                    kids.add(child.terms)
+            reduced += 1
+            children += len(kids)
+            assert yes == any(answers[c] for c in kids if c), (key, terms, sorted(kids))
+    assert (reduced, children) == (5149, 15020)
+
+
 @pytest.mark.parametrize("key", ["k6-c4", "k5-c4"])
 @pytest.mark.parametrize("witness", ["wrong_degrees", "no_pattern", "padded"])
 def test_oracle_checks_the_placement_witness(monkeypatch, key, witness):
@@ -955,15 +1009,16 @@ def compare_cut_engine(monkeypatch, demands):
     for demand in demands:
         empty = [0] * len(demand)
         for target in TARGETS.values():
+            contains = search._km_c4_accept(target.pattern.vertex_count)
 
             def accept(adj, u):
                 seen["steps"] += 1
                 left = sorted((d - a.bit_count() for d, a in zip(demand, adj)), reverse=True)
                 assert _eg_ok(left), (demand, adj)
-                return target.accept(adj, u)
+                return contains(adj, u)
 
             got = _complete(demand, empty, accept, target.pattern)
-            assert got == reference_complete(demand, empty, target.accept), (target.pattern.name, demand)
+            assert got == reference_complete(demand, empty, contains), (target.pattern.name, demand)
     return seen["cuts"], seen["leap_cuts"]
 
 
@@ -1089,30 +1144,30 @@ def test_cut_engine_stops_at_a_root_without_dominance(text, pattern):
     # answers with no step and no test, as the exhaustive reference does
     # after searching every realization
     demand = seq(text).terms
-    key = search._key_of(pattern)
+    contains = search._km_c4_accept(pattern.vertex_count)
     calls = []
 
     def counted(adj, u):
         calls.append(u)
-        return TARGETS[key].accept(adj, u)
+        return contains(adj, u)
 
     assert _complete(demand, [0] * len(demand), counted, pattern) is None
     assert calls == []
-    assert reference_complete(demand, [0] * len(demand), TARGETS[key].accept) is None
+    assert reference_complete(demand, [0] * len(demand), contains) is None
 
 
 def test_cut_saves_search_work(monkeypatch):
     # accept calls of the oracle on the seven slowest K6-C4 *no* sequences of
     # n = 9; without the cut they make 1,405, 1,259, 1,053, 1,014, 937, 201
     # and 198 calls
-    target = TARGETS["k6-c4"]
+    contains = search._km_c4_accept(6)
     calls = []
 
     def counted(adj, u):
         calls.append(u)
-        return target.accept(adj, u)
+        return contains(adj, u)
 
-    monkeypatch.setitem(TARGETS, "k6-c4", dataclasses.replace(target, accept=counted))
+    monkeypatch.setattr(search, "_km_c4_accept", lambda m: counted)
     counts = {}
     for text in ("5^2,4,3^6", "5^2,4,3^5,1", "5^2,3^6,2", "5^2,3^5,2,1", "5^2,4^7", "6,5,3^7", "6,5,3^6,1"):
         del calls[:]
