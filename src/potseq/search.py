@@ -56,13 +56,11 @@ Its node is the first one whose check the eager engine would have seen
 fail: up to it every check passes, and both engines apply the same sets.
 So its scan, twin map and leap run as they would have, and the engine
 makes the same decisions and returns the same graphs with fewer checks.
-Two rules limit what a failing unchecked set costs.  Once a dead end's
-check finds a failing state, the call checks every set for the rest of its
-search, since its input is one on which first sets fail.  And
-``_place_km_c4`` defers only in the first placement class it tries: a
-later class runs only after an earlier one failed, which marks a likely
-*no*.  The oracle's search checks every set, because it returns the first
-partial graph that ``accept`` passes, and that graph must complete.
+One rule limits what a failing unchecked set costs: once a dead end's check
+finds a failing state, the call checks every set for the rest of its
+search, since its input is one on which first sets fail.  The oracle's
+search checks every set, because it returns the first partial graph that
+``accept`` passes, and that graph must complete.
 
 The oracle, ``oracle_decide``, answers *no* when the sorted terms do not
 dominate the pattern's sorted degrees; decider/oracle agreement on the
@@ -200,7 +198,6 @@ def _complete(
     base: Sequence[int],
     accept: _Accept | None,
     pattern: TargetPattern | None = None,
-    defer: bool = True,
 ) -> list[int] | None:
     """Add edges to the graph ``base`` (adjacency bitmasks) until every
     vertex ``v`` has gained ``demand[v]`` new neighbors.
@@ -265,21 +262,20 @@ def _complete(
     the lemma the leap rests on, and that the leap expands the same sets
     as the scan.
 
-    With ``accept`` None and ``defer`` true, a node applies its first set
-    without the check, and its frame is marked unchecked: the unchecked
-    frames are those from index ``checked`` to the top of the stack, so one
-    index marks them all.  Their nodes have tried no other set, so the
-    first backtrack into one of them comes after a dead end.  There the
-    unchecked states are checked from the top of the stack: each failing
-    frame is popped, and the shallowest of them is pushed back with its set
-    undone and one failure counted, as if its first set had just failed
-    the check.  A passing state proves every frame under it on the stack
-    (the lay-off lemma in the module docstring), and a node that backtracks
-    has only passing frames under it; either way ``checked`` then moves to
-    the top of the stack.  Once a check has failed, ``defer`` is off for
-    the rest of the call.  ``_place_km_c4`` passes ``defer`` false after
-    its first placement class fails.  The module docstring proves that the
-    outputs do not change.
+    With ``accept`` None, a node applies its first set without the check,
+    and its frame is marked unchecked: the unchecked frames are those from
+    index ``checked`` to the top of the stack, so one index marks them
+    all.  Their nodes have tried no other set, so the first backtrack into
+    one of them comes after a dead end.  There the unchecked states are
+    checked from the top of the stack: each failing frame is popped, and the
+    shallowest of them is pushed back with its set undone and one failure
+    counted, as if its first set had just failed the check.  A passing state
+    proves every frame under it on the stack (the lay-off lemma in the
+    module docstring), and a node that backtracks has only passing frames
+    under it; either way ``checked`` then moves to the top of the
+    stack.  Once a check has failed, the call checks every set for the rest
+    of its search.  The module docstring proves that the outputs do not
+    change.
     """
     if sum(demand) % 2:
         return None
@@ -299,7 +295,7 @@ def _complete(
     stack: list[list] = []
     # first sets go unchecked only with no containment test; the frames
     # below ``checked`` hold states known to pass
-    defer = defer and accept is None
+    defer = accept is None
     checked = 0
     while True:
         # open a node on the current graph and take its first neighbor set;
@@ -769,19 +765,16 @@ def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | Non
     hold exactly when no demand is negative.  A class key fixes both least
     terms, so a class passes or fails as a whole: skipping the rows that
     fail tries the first member of each passing class, as deduplicating
-    the passing placements would.  Only the first class it tries defers
-    the completion engine's first-set checks (see ``_complete``)."""
+    the passing placements would."""
     tail = d[m:]
     zeros = [0] * len(tail)
-    defer = True
     # a display, not tuple(map(...)): a tuple built from an iterator is
     # resized, and freed into a free list it never takes from
     for h, q, row in _class_list((*map(eq, d, d[1:m]),)):
         if d[h] >= m - 1 and d[q] >= m - 3:
-            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None, None, defer)
+            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None)
             if adj is not None:
                 return adj, row
-            defer = False
     return None
 
 

@@ -19,7 +19,7 @@ from potseq.characterize import (
     sigma_formula_k6c4,
 )
 from potseq.search import _place_km_c4, enumerate_graphic_sequences
-from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, parse_notation, render_notation, shape_of
+from potseq.sequences import DegreeSequence, _eg_ok, is_graphic, layoff, parse_notation, render_notation, shape_of
 
 # Guards the shipped fixture file against transcription drift.
 EXCEPTIONS_SHA256 = "7687043b56c934666ab7812229defb04c16d256bcdf23f0058cadd0d42744720"
@@ -495,6 +495,87 @@ def test_sigma_formula(n, value):
 def test_sigma_formula_domain():
     with pytest.raises(ValueError):
         sigma_formula_k6c4(5)
+
+
+# the largest sum of a graphic sequence with n >= 10 terms, per decider *no*
+# reason; the fixed exceptions are finite, so their reasons have none
+NO_REASON_MAXIMA = {
+    "k6": {
+        "COND2_SUM": lambda n: 6 * n - 12,
+        "COND2_RESIDUAL": lambda n: 6 * n - 14,
+        "COND1_D2": lambda n: 5 * n - 5 - (n % 2 == 0),
+        "COND1_D6": lambda n: 4 * n,
+        "COND3_FAMILY_B": lambda n: 2 * n + 14,
+        "COND3_FAMILY_A": lambda n: 2 * n + 12,
+    },
+    "k5": {
+        "COND2_FAMILY_KI": lambda n: 4 * n - 6,
+        "COND2_FAMILY_SQUARE": lambda n: 4 * n - 8,
+        "COND1_D1": lambda n: 3 * n - n % 2,
+        "COND1_D5": lambda n: 2 * n + 4,
+    },
+}
+FIXED_REASONS = {"COND3_FIXED", "COND2_FIXED"}
+
+
+@pytest.fixture(scope="module")
+def no_sums_6_to_11():
+    # per target and n = 6..11, the largest sum of a graphic sequence with n
+    # terms for each reason the decider gives it a *no*
+    best = {}
+    for n in range(6, 12):
+        for s in enumerate_graphic_sequences(n):
+            for key, decide in (("k6", decide_k6c4), ("k5", decide_k5c4)):
+                verdict = decide(s)
+                if not verdict.is_yes:
+                    row = best.setdefault((key, n), {})
+                    row[verdict.reason] = max(row.get(verdict.reason, 0), s.sigma)
+    return best
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("key", ["k6", "k5"])
+def test_no_reasons_reach_their_closed_form_maxima(no_sums_6_to_11, key, n):
+    found = {r: x for r, x in no_sums_6_to_11[key, n].items() if r not in FIXED_REASONS}
+    assert found == {r: f(n) for r, f in NO_REASON_MAXIMA[key].items()}
+
+
+def test_decider_sigma_is_6n_minus_10_and_4n_minus_4(no_sums_6_to_11):
+    # 2 more than the largest sum of a decider *no*, for every n = 6..11
+    for n in range(6, 12):
+        assert max(no_sums_6_to_11["k6", n].values()) + 2 == 6 * n - 10
+        assert max(no_sums_6_to_11["k5", n].values()) + 2 == 4 * n - 4
+
+
+# --- settled heads ------------------------------------------------------------
+
+
+# per target, (position, least term) pairs: a sequence whose terms meet them
+# is decider-yes, and so is its classical child
+SETTLED_HEADS = {"k6": ((2, 6), (4, 5), (6, 4)), "k5": ((1, 5), (3, 4), (5, 3))}
+
+
+def settled_failures(rows, decide, head):
+    # the sequences among ``rows`` that meet ``head`` but whose decider
+    # answer, or whose classical child's, is no
+    return [
+        render_notation(s)
+        for s, child in rows
+        if all(s.terms[i - 1] >= least for i, least in head)
+        and not (decide(s).is_yes and decide(child).is_yes)
+    ]
+
+
+def test_settled_heads_are_yes_with_their_child():
+    # every graphic sequence with n = 11.  Each bound is needed: lowered by
+    # one, the K6-C4 d2 and the K5-C4 d1 bounds admit a no.  The other
+    # bounds, lowered by one, still admit none at this length
+    rows = [(s, layoff(s)) for s in enumerate_graphic_sequences(11)]
+    assert len(rows) == 43332
+    for key, decide in (("k6", decide_k6c4), ("k5", decide_k5c4)):
+        assert settled_failures(rows, decide, SETTLED_HEADS[key]) == [], key
+    assert "9,5^3,4^7" in settled_failures(rows, decide_k6c4, ((2, 5), (4, 5), (6, 4)))
+    assert settled_failures(rows, decide_k5c4, ((1, 4), (3, 4), (5, 3))) == ["4^3,3^8"]
 
 
 # --- explain ----------------------------------------------------------------

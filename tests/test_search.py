@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import os
 import pickle
@@ -354,6 +355,11 @@ def test_completion_engine_on_no_vertices():
     assert _complete([], [], search._km_c4_accept(5)) is None
 
 
+def test_completion_engine_takes_no_check_policy():
+    # whether first sets go unchecked follows from ``accept`` alone
+    assert list(inspect.signature(_complete).parameters) == ["demand", "base", "accept", "pattern"]
+
+
 def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
     # a node tries its first set before it builds a combinations iterator or
     # a twin map, and builds both on its first backtrack only: over the
@@ -364,9 +370,9 @@ def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
     problems = []
     engine = search._complete
 
-    def recorded(demand, base, accept, pattern=None, defer=True):
-        problems.append((list(demand), list(base), defer))
-        return engine(demand, base, accept, pattern, defer)
+    def recorded(demand, base, accept, pattern=None):
+        problems.append((list(demand), list(base)))
+        return engine(demand, base, accept, pattern)
 
     monkeypatch.setattr(search, "_complete", recorded)
     for n in range(5, 10):
@@ -384,10 +390,10 @@ def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(search, name, counted)
-    for demand, base, defer in problems:
-        engine(demand, base, None, None, defer)
+    for demand, base in problems:
+        engine(demand, base, None)
     assert len(problems) == 7105
-    assert built == {"combinations": 1950, "_twin_before": 1950, "_eg_ok": 7152}
+    assert built == {"combinations": 1950, "_twin_before": 1950, "_eg_ok": 7017}
 
 
 def test_completion_engine_matches_reference_random():
@@ -416,8 +422,8 @@ def test_completion_engine_matches_reference_on_placements(monkeypatch):
     engine = search._complete
     problems = []
 
-    def both(demand, base, accept, pattern=None, defer=True):
-        got = engine(demand, base, accept, pattern, defer)
+    def both(demand, base, accept, pattern=None):
+        got = engine(demand, base, accept, pattern)
         assert got == reference_complete(demand, base, accept), (list(demand), list(base))
         problems.append(got is not None)
         return got
@@ -439,14 +445,16 @@ def test_deferred_checks_make_the_eager_decisions(monkeypatch):
     # the realizer's placement problems for seeded G(n,p) sequences with
     # n = 12..32 and mean degree 8..10, on which many unchecked first sets
     # fail: with its first sets unchecked, the engine builds the same twin
-    # maps, leaps from the same sets and returns the same graph as when it
-    # checks every set, and as the reference does, in fewer checks
+    # maps, leaps from the same sets and returns the same graph as an engine
+    # that checks every set, and as the reference does, in fewer checks.
+    # The digest pins each problem's (result, twin-map and leap log) as the
+    # engine that checks every set produced it, in 7,704 checks
     engine = search._complete
     problems = []
 
-    def recorded(demand, base, accept, pattern=None, defer=True):
+    def recorded(demand, base, accept, pattern=None):
         problems.append((list(demand), list(base)))
-        return engine(demand, base, accept, pattern, defer)
+        return engine(demand, base, accept, pattern)
 
     monkeypatch.setattr(search, "_complete", recorded)
     rng = random.Random(25)
@@ -474,20 +482,19 @@ def test_deferred_checks_make_the_eager_decisions(monkeypatch):
     monkeypatch.setattr(search, "_twin_before", twins)
     monkeypatch.setattr(search, "_first_passing", leap)
     monkeypatch.setattr(search, "_eg_ok", counted)
-    resolved = 0
-    calls = {True: 0, False: 0}
+    digest = hashlib.sha256()
+    resolved = calls = 0
     for demand, base in problems:
-        runs = {}
-        for defer in (True, False):
-            del log[:], checks[:]
-            runs[defer] = engine(demand, base, None, None, defer), list(log)
-            calls[defer] += len(checks)
-            # before its first dead end, a deferring run checks nothing: a
-            # first check that fails found an unchecked first set failing
-            resolved += defer and checks[:1] == [False]
-        assert runs[True] == runs[False], (demand, base)
-        assert runs[True][0] == reference_complete(demand, base, None), (demand, base)
-    assert (len(problems), resolved, calls) == (420, 293, {True: 3816, False: 7704})
+        del log[:], checks[:]
+        got = engine(demand, base, None)
+        digest.update(repr((got, log)).encode() + b"\n")
+        calls += len(checks)
+        # before its first dead end, a deferring run checks nothing: a
+        # first check that fails found an unchecked first set failing
+        resolved += checks[:1] == [False]
+        assert got == reference_complete(demand, base, None), (demand, base)
+    assert (len(problems), resolved, calls) == (420, 293, 3816)
+    assert digest.hexdigest() == "5c0f602d2271230a8f575055457f006e2b77948f97ec0c4b14255d41f8083bc9"
 
 
 class OverBudget(Exception):
@@ -509,9 +516,9 @@ def dense_placements_match_reference(monkeypatch, seed, sizes, count):
             raise OverBudget
         return _eg_ok(terms)
 
-    def both(demand, base, accept, pattern=None, defer=True):
+    def both(demand, base, accept, pattern=None):
         checks[0] = 0
-        got = engine(demand, base, accept, pattern, defer)
+        got = engine(demand, base, accept, pattern)
         assert got == reference_complete(demand, base, accept), (list(demand), list(base))
         problems.append(got)
         return got
@@ -725,7 +732,7 @@ def test_placements_try_every_class_in_order(monkeypatch):
     # the reference's order
     problems = []
 
-    def never(demand, base, accept, pattern=None, defer=True):
+    def never(demand, base, accept, pattern=None):
         problems.append((list(demand), list(base)))
         return None
 
@@ -758,9 +765,9 @@ def placements_pose_reference_problems(monkeypatch, tops):
     engine = search._complete
     problems = []
 
-    def recorded(demand, base, accept, pattern=None, defer=True):
+    def recorded(demand, base, accept, pattern=None):
         problems.append((list(demand), list(base)))
-        return engine(demand, base, accept, pattern, defer)
+        return engine(demand, base, accept, pattern)
 
     monkeypatch.setattr(search, "_complete", recorded)
     counts = []
