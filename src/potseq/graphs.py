@@ -61,7 +61,7 @@ def _simple_by_transpose(adj: tuple[int, ...], n: int) -> bool:
     return t == packed
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph; ``adj[u]`` is a neighbor bitmask.
 
@@ -204,7 +204,7 @@ K6_MINUS_C4 = _km_minus_c4_pattern(6, "K6-C4")
 K5_MINUS_C4 = _km_minus_c4_pattern(5, "K5-C4")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatternWitness:
     """Host vertices of an embedded K_m - C4: hub(s) plus the matched pairs."""
 

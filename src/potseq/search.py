@@ -638,7 +638,7 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOU
 # embedded realization (pattern placed on the top-degree vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RealizationCertificate(PatternWitness):
     """A realization with K_m - C4 placed on the first m vertices: the
     roles (hubs and pairs, whose union is ``hosts``) and the graph."""
@@ -658,36 +658,50 @@ class RealizationCertificate(PatternWitness):
     def revalidate(self, seq: DegreeSequence) -> None:
         """Check degrees and the stated embedding.
 
-        The role edges are checked by masks; only when one is missing does
-        the edge-by-edge scan run, to name the first missing edge.  A role
-        vertex outside 0..n-1 makes its role edges missing.  Then the roles
-        must be m = len(hubs) + 4 distinct hosts, split into the hubs and
-        two disjoint pairs that cover the rest: only then do the role edges
-        form K_m - C4.  Roles without exactly two pairs of two vertices each
-        name no edge, and fail on that split alone."""
+        The degrees are compared with the terms position by position first,
+        and sorted only when that fails.  The terms are positive and
+        non-increasing, so degrees equal to them position by position are
+        their sorted positive degrees: the positional test passes only where
+        the sorted one would, and the sorted one decides the rest.
+
+        The role edges are checked by one mask of the hosts; only when one
+        is missing does the edge-by-edge scan run, to name the first missing
+        edge.  A role vertex outside 0..n-1 makes its role edges missing.
+        Then the roles must be m = len(hubs) + 4 distinct hosts, split into
+        the hubs and two disjoint pairs that cover the rest: only then do
+        the role edges form K_m - C4.  Roles without exactly two pairs of
+        two vertices each name no edge, and fail on that split alone."""
         n = self.graph.n
         adj = self.graph.adj
-        # the positive degrees, sorted: the terms of the graph's DegreeSequence
-        if tuple(sorted(filter(None, map(int.bit_count, adj)), reverse=True)) != seq.terms:
+        degrees = tuple(map(int.bit_count, adj))
+        if degrees != seq.terms and tuple(sorted(filter(None, degrees), reverse=True)) != seq.terms:
             raise EmbeddingFailure("certificate degrees do not match the sequence")
-        hosts = self.hosts
-        m = len(self.hubs) + 4
-        paired = tuple(map(len, self.pairs)) == (2, 2)
-        split = paired and len(set(hosts)) == m
-        found = split and min(hosts) >= 0 and max(hosts) < n
-        if found:
-            mask = sum(1 << x for x in hosts)
-            found = all((adj[h] | 1 << h) & mask == mask for h in self.hubs) and all(
-                adj[a] >> b & 1 for a, b in self.pairs
-            )
-        if not found and paired:
+        hubs = self.hubs
+        pairs = self.pairs
+        m = len(hubs) + 4
+        if len(pairs) == 2 and len(pairs[0]) == 2 and len(pairs[1]) == 2:
+            (a, b), (c, d) = pairs
+            mask = 0
+            for x in (*hubs, a, b, c, d):
+                if not 0 <= x < n:
+                    break
+                mask |= 1 << x
+            else:
+                # m bits: the m hosts are distinct
+                if mask.bit_count() == m and adj[a] >> b & 1 and adj[c] >> d & 1:
+                    for h in hubs:
+                        if (adj[h] | 1 << h) & mask != mask:
+                            break
+                    else:
+                        return
+            # distinct hosts inside the graph with every role edge pass the
+            # masks, so past the scan the hosts are not distinct
             for u, v in self.role_edges():
                 if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
                     raise EmbeddingFailure(f"certificate is missing role edge ({u},{v})")
-        if not split:
-            raise EmbeddingFailure(
-                f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
-            )
+        raise EmbeddingFailure(
+            f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
+        )
 
 
 class _Placement(tuple):

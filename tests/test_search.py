@@ -1,3 +1,5 @@
+import collections
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -16,6 +18,7 @@ from potseq.graphs import (
     Graph,
     K5_MINUS_C4,
     K6_MINUS_C4,
+    PatternWitness,
     TargetPattern,
     _contains_pattern_adj,
     complete_graph,
@@ -243,6 +246,140 @@ def test_revalidate_names_the_first_missing_edge(change, message):
     with pytest.raises(EmbeddingFailure) as exc:
         cert.revalidate(s)
     assert str(exc.value) == message
+
+
+def reference_revalidate(cert, s):
+    """The reference for ``RealizationCertificate.revalidate``: the same
+    checks made the plain way, every degree sorted, the hosts flattened and
+    sorted, the role masks built by generator expressions."""
+    n = cert.graph.n
+    adj = cert.graph.adj
+    if tuple(sorted(filter(None, map(int.bit_count, adj)), reverse=True)) != s.terms:
+        raise EmbeddingFailure("certificate degrees do not match the sequence")
+    hosts = cert.hosts
+    m = len(cert.hubs) + 4
+    paired = tuple(map(len, cert.pairs)) == (2, 2)
+    split = paired and len(set(hosts)) == m
+    found = split and min(hosts) >= 0 and max(hosts) < n
+    if found:
+        mask = sum(1 << x for x in hosts)
+        found = all((adj[h] | 1 << h) & mask == mask for h in cert.hubs) and all(
+            adj[a] >> b & 1 for a, b in cert.pairs
+        )
+    if not found and paired:
+        for u, v in cert.role_edges():
+            if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
+                raise EmbeddingFailure(f"certificate is missing role edge ({u},{v})")
+    if not split:
+        raise EmbeddingFailure(
+            f"certificate roles are not {m} distinct hosts split into hubs and two disjoint pairs"
+        )
+
+
+def gnp_certificates():
+    """(sequence, certificate) for every line of
+    ``test_certificates_are_byte_stable_large_n``, in its order."""
+    for n in range(9, 33):
+        rng = random.Random(n)
+        for p in (0.2, 0.35, 0.5):
+            for _ in range(4):
+                s = DegreeSequence.of(gnp_degrees(rng, n, p))
+                for decide, realize in ((decide_k6c4, realize_with_k6c4), (decide_k5c4, realize_with_k5c4)):
+                    if decide(s).is_yes:
+                        yield s, realize(s)
+
+
+def revalidate_outcome(check, cert, s):
+    try:
+        check(cert, s)
+    except Exception as exc:  # the two must fail alike, whatever the type
+        return type(exc), str(exc)
+    return None
+
+
+def certificate_mutants(cert):
+    """Certificates that differ from ``cert`` in one role or in the graph:
+    every role vertex replaced by -1, by n, by each other host and by the
+    first and last non-hosts; the pairs reshaped; one role edge removed from
+    both rows; the complete graph."""
+    n = cert.graph.n
+    hosts = cert.hosts
+    others = [v for v in range(n) if v not in hosts]
+    (a, b), (c, d) = cert.pairs
+    roles = [*cert.hubs, a, b, c, d]
+    h = len(cert.hubs)
+    for i, old in enumerate(roles):
+        for new in (-1, n, *(x for x in hosts if x != old), others[0], others[-1]):
+            changed = roles[:i] + [new] + roles[i + 1 :]
+            yield dataclasses.replace(
+                cert, hubs=tuple(changed[:h]), pairs=(tuple(changed[h : h + 2]), tuple(changed[h + 2 :]))
+            )
+    yield dataclasses.replace(cert, pairs=((a, b, c), (d,)))
+    yield dataclasses.replace(cert, pairs=((a, b), (c, d), ()))
+    adj = cert.graph.adj
+    for u, v in cert.role_edges():
+        rows = list(adj)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        yield dataclasses.replace(cert, graph=Graph(n, tuple(rows)))
+    yield dataclasses.replace(cert, graph=complete_graph(n))
+
+
+def test_revalidate_agrees_with_the_reference():
+    # error for error on the pinned G(n,p) certificates and their mutants, each
+    # against its sequence and, when its graph changed, against the graph's
+    # own degrees, so that role checks are reached past the degree check
+    outcomes = collections.Counter()
+    for s, cert in gnp_certificates():
+        assert revalidate_outcome(reference_revalidate, cert, s) is None
+        assert revalidate_outcome(type(cert).revalidate, cert, s) is None
+        for mutant in certificate_mutants(cert):
+            against = [s] if mutant.graph is cert.graph else [s, degree_sequence_of(mutant.graph)]
+            for t in against:
+                expected = revalidate_outcome(reference_revalidate, mutant, t)
+                assert revalidate_outcome(type(mutant).revalidate, mutant, t) == expected, (mutant, t)
+                outcomes[expected and expected[1].partition(" (")[0]] += 1
+    # every route is taken: pass, degrees, a missing edge, a failed split
+    assert outcomes == {
+        None: 2_527,
+        "certificate degrees do not match the sequence": 5_027,
+        "certificate is missing role edge": 21_513,
+        "certificate roles are not 5 distinct hosts split into hubs and two disjoint pairs": 3_549,
+        ROLES_MESSAGE: 3_520,
+    }
+
+
+def reversed_certificate(cert):
+    """``cert`` relabeled by v -> n - 1 - v, hubs and pairs mapped with it."""
+    n = cert.graph.n
+    flip = lambda v: n - 1 - v
+    graph = Graph.from_edges(n, [(flip(u), flip(v)) for u, v in cert.graph.edges()])
+    pairs = tuple(tuple(map(flip, p)) for p in cert.pairs)
+    return dataclasses.replace(cert, hubs=tuple(map(flip, cert.hubs)), pairs=pairs, graph=graph)
+
+
+def test_revalidate_sorts_degrees_out_of_sequence_order():
+    # a certificate's degrees are in sequence order, so only a relabeled graph
+    # or one with an isolated vertex reaches the sorted comparison
+    for s, cert in gnp_certificates():
+        flipped = reversed_certificate(cert)
+        assert flipped.graph.degrees() != s.terms
+        flipped.revalidate(s)
+        padded = dataclasses.replace(cert, graph=Graph(cert.graph.n + 1, cert.graph.adj + (0,)))
+        padded.revalidate(s)
+
+
+@pytest.mark.parametrize("kind", ["graph", "witness", "certificate"])
+def test_certificate_records_are_slotted(kind):
+    cert = realize_with_k6c4(seq("5^2,3^4"))
+    record = {"graph": cert.graph, "witness": PatternWitness(cert.hubs, cert.pairs), "certificate": cert}[kind]
+    assert not hasattr(record, "__dict__")
+    name = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), dataclasses.replace(record)):
+        assert type(copied) is type(record)
+        assert copied == record
 
 
 @pytest.mark.parametrize("name", ["hubs", "pairs", "graph"])
