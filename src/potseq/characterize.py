@@ -113,7 +113,9 @@ class Verdict:
     The deciders hand out one shared object for each verdict fixed by its
     target, reason, n and ``lhs`` (such as every ``OK`` at one n), so equal
     verdicts may be the same object: compare them with ``==``, never
-    ``is``.  The class is frozen, so sharing is safe.
+    ``is``.  The class is frozen, so sharing is safe.  :func:`explain`
+    formats a shared verdict's text once, when the verdict is first built,
+    and every other verdict on each call.
     """
 
     target: str
@@ -138,10 +140,21 @@ class Verdict:
 
 @dataclass(frozen=True)
 class ExceptionTable:
-    """The fixed exceptional sequences of the K6-C4 characterization."""
+    """The fixed exceptional sequences of the K6-C4 characterization.
+
+    :meth:`match` looks a sequence up only when it is no longer than the
+    longest entry (10 terms in the shipped file), a length taken from the
+    entries when the table is built; a longer sequence matches nothing.
+    ``_longest`` holds that length.  It is a plain attribute, not a field,
+    so it takes no part in equality, ``repr`` or ``dataclasses.replace``.
+    """
 
     fixed: tuple[DegreeSequence, ...]
     index: dict[tuple[int, ...], int]  # terms -> position in ``fixed``
+    _longest = 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_longest", max(map(len, self.index), default=0))
 
     @classmethod
     def load(cls) -> "ExceptionTable":
@@ -158,7 +171,11 @@ class ExceptionTable:
         return cls(entries, index)
 
     def match(self, seq: DegreeSequence) -> int | None:
-        return self.index.get(seq.terms)
+        terms = seq.terms
+        # a tuple's hash is not cached, so a lookup hashes every term
+        if len(terms) > self._longest:
+            return None
+        return self.index.get(terms)
 
 
 @cache
@@ -172,15 +189,25 @@ def k6c4_exceptions() -> ExceptionTable:
 # of verdicts per (target, n).
 _SHARED: dict[tuple[str, str, int, int | None], Verdict] = {}
 
+# id(verdict) -> explain(verdict), for the verdicts in _SHARED only.  An id
+# is unique among live objects, and _SHARED keeps each of its verdicts alive,
+# so no other object can carry one of these ids.  Keyed by identity, never
+# by fields: a hand-built Verdict may equal a shared one in every field the
+# key of _SHARED reads and still differ in rhs.
+_EXPLAINED: dict[int, str] = {}
+
 
 def _shared(target: str, reason: str, n: int, lhs: int | None = None, rhs: int | None = None) -> Verdict:
     """The one verdict for (target, reason, n, lhs); ``rhs`` must be fixed
-    by the reason.  Built through the constructor, so it is checked."""
+    by the reason.  Built through the constructor, so it is checked, and
+    explained once here."""
     key = (target, reason, n, lhs)
     verdict = _SHARED.get(key)
     if verdict is None:
         decision = "yes" if reason == "OK" else "no"
-        verdict = _SHARED[key] = Verdict(target, decision, reason, n=n, lhs=lhs, rhs=rhs)
+        # setdefault, so that only a verdict _SHARED keeps gets an entry
+        verdict = _SHARED.setdefault(key, Verdict(target, decision, reason, n=n, lhs=lhs, rhs=rhs))
+        _EXPLAINED[id(verdict)] = _format(verdict)
     return verdict
 
 
@@ -250,6 +277,7 @@ def _k5c4_family_terms(n: int, k: int, i: int) -> tuple[int, ...]:
 
 
 _K5C4_FIXED = {(4, 2, 2, 2, 2, 2): 0, (4, 2, 2, 2, 2, 2, 2): 1}  # terms -> exception_index
+_K5C4_FIXED_LONGEST = max(map(len, _K5C4_FIXED))
 
 
 def decide_k5c4(seq: DegreeSequence) -> Verdict:
@@ -264,7 +292,7 @@ def decide_k5c4(seq: DegreeSequence) -> Verdict:
         return _shared(K5C4, "COND1_D1", n, d[0], 4)
     if d[4] < 2:
         return _shared(K5C4, "COND1_D5", n, d[4], 2)
-    idx = _K5C4_FIXED.get(d)
+    idx = _K5C4_FIXED.get(d) if n <= _K5C4_FIXED_LONGEST else None
     if idx is not None:
         return Verdict(
             K5C4,
@@ -322,8 +350,16 @@ _EXPLANATIONS = {
 
 
 def explain(verdict: Verdict) -> str:
-    """One-line human-readable explanation; stable strings for snapshots."""
-    v = verdict
+    """One-line human-readable explanation; stable strings for snapshots.
+
+    A verdict the deciders share (see :class:`Verdict`) was formatted when
+    it was built, and that same string is returned for it; any other
+    verdict, equal to a shared one or not, is formatted on each call."""
+    text = _EXPLAINED.get(id(verdict))
+    return _format(verdict) if text is None else text
+
+
+def _format(v: Verdict) -> str:
     template = _EXPLANATIONS.get(v.reason)
     if template is None:
         raise ValueError(f"unknown reason code {v.reason!r}")

@@ -85,8 +85,9 @@ class DegreeSequence:
         vals = sorted(values, reverse=True)
         if vals and vals[-1] < 0:
             raise ValueError(f"negative term: {vals[-1]}")
-        zeros = vals.count(0)
-        if zeros:
+        zeros = 0
+        if vals and vals[-1] == 0:  # sorted, so any zero is last
+            zeros = vals.count(0)
             del vals[-zeros:]
         return cls._trusted(tuple(vals), zeros)
 

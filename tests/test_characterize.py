@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import os
 import pickle
@@ -80,6 +81,18 @@ def test_exception_match_index():
     table = k6c4_exceptions()
     assert table.match(seq("6^2,3^6")) == 2
     assert table.match(seq("5^6")) is None
+    # the longest entry sits at the length gate; one term more matches nothing
+    assert table.match(seq("5^2,3^6,1^2")) == 21
+    assert table.match(seq("5^2,3^6,2,1^2")) is None
+
+
+def test_fixed_exceptions_decide_with_their_own_index():
+    for i, entry in enumerate(k6c4_exceptions().fixed):
+        v = decide_k6c4(entry)
+        assert (v.reason, v.exception_index, v.matched_exception) == ("COND3_FIXED", i, render_notation(entry))
+    for i, text in enumerate(("4,2^5", "4,2^6")):
+        v = decide_k5c4(seq(text))
+        assert (v.reason, v.exception_index, v.matched_exception) == ("COND2_FIXED", i, text)
 
 
 # --- K6-C4 decider ----------------------------------------------------------
@@ -393,13 +406,14 @@ def reference_decide_k5c4(s: DegreeSequence) -> Verdict:
     return Verdict("K5-C4", "yes", "OK", n=n)
 
 
-def _check_style_literals(seed: int, count: int):
+def _check_style_literals(seed: int, count: int, lengths: tuple[int, int] = (1, 40)):
     """Seeded literals of the kinds `potseq check` sees: G(n,p) degree lists
     (unsorted, zeros kept), shape-case sequences near the condition (2)
-    bound, K5-C4 family members and near misses, and perturbed sums."""
+    bound, K5-C4 family members and near misses, and perturbed sums; n is
+    drawn from ``lengths`` (inclusive)."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(1, 40)
+        n = rng.randint(*lengths)
         roll = rng.random()
         if roll < 0.4:
             p = min(1.0, rng.uniform(0.5, 12.0) / max(n - 1, 1))
@@ -434,6 +448,16 @@ def _differential_inputs():
         yield from enumerate_graphic_sequences(n)
     for text in _check_style_literals(2026, 6000):
         yield parse_notation(text)
+    # one term past the longest fixed exception of each target, where the
+    # deciders skip the table: K6-C4 at n = 11, K5-C4 at n = 8
+    for n in (11, 8):
+        for text in _check_style_literals(n, 400, (n, n)):
+            yield parse_notation(text)
+    for entry in k6c4_exceptions().fixed:
+        for pad in ((1,) * (11 - entry.n), (2,) * (11 - entry.n)):
+            yield DegreeSequence.of(entry.terms + pad)
+    for pad in ((2, 2), (2, 1, 1), (1, 1)):
+        yield DegreeSequence.of((4, 2, 2, 2, 2, 2) + pad)
 
 
 def test_deciders_match_per_call_construction():
@@ -461,6 +485,39 @@ def test_replace_leaves_shared_verdicts_alone():
     assert w is not v and w.reason == "COND1_D1"
     again = decide_k5c4(seq("4^5"))
     assert (again.decision, again.reason, again.n, again.lhs) == ("yes", "OK", 5, None)
+
+
+# one literal for each reason code a decider shares a verdict for
+SHARED_REASONS = [
+    ("k6", "5^2,4^5", "OK"),
+    ("k6", "3^3,1", "NOT_GRAPHIC"),
+    ("k6", "2^3", "TOO_SHORT"),
+    ("k6", "4^6", "COND1_D2"),
+    ("k6", "5^2,3^2,2^2", "COND1_D6"),
+    ("k6", "6,5^2,3^4", "COND2_RESIDUAL"),
+    ("k5", "4^5", "OK"),
+    ("k5", "3^3,1", "NOT_GRAPHIC"),
+    ("k5", "3^4", "TOO_SHORT"),
+    ("k5", "3^4,2", "COND1_D1"),
+    ("k5", "4,2^2,1^2", "COND1_D5"),
+]
+
+
+@pytest.mark.parametrize("target,text,reason", SHARED_REASONS)
+def test_shared_verdict_is_explained_once(target, text, reason):
+    decide = decide_k6c4 if target == "k6" else decide_k5c4
+    v = decide(seq(text))
+    assert v.reason == reason and decide(seq(text)) is v
+    assert explain(v) is explain(v)
+    fresh = dataclasses.replace(v)
+    assert fresh is not v and explain(fresh) == explain(v)
+
+
+def test_explain_reads_a_hand_built_verdict_by_its_own_fields():
+    # equal to the shared n = 3 TOO_SHORT verdict in all but rhs
+    assert explain(decide_k6c4(seq("2^3"))) == "too short: n = 3 < 6"
+    v = Verdict("K6-C4", "no", "TOO_SHORT", n=3, lhs=3, rhs=99)
+    assert explain(v) == "too short: n = 3 < 99"
 
 
 @pytest.mark.parametrize("text", ["5^2,4^5", "4^6", "3^3,1", "2^3", "6,5^2,3^4", "6^3,3^4"])
@@ -518,33 +575,48 @@ NO_REASON_MAXIMA = {
 FIXED_REASONS = {"COND3_FIXED", "COND2_FIXED"}
 
 
-@pytest.fixture(scope="module")
-def no_sums_6_to_11():
-    # per target and n = 6..11, the largest sum of a graphic sequence with n
-    # terms for each reason the decider gives it a *no*
-    best = {}
-    for n in range(6, 12):
-        for s in enumerate_graphic_sequences(n):
-            for key, decide in (("k6", decide_k6c4), ("k5", decide_k5c4)):
-                verdict = decide(s)
-                if not verdict.is_yes:
-                    row = best.setdefault((key, n), {})
-                    row[verdict.reason] = max(row.get(verdict.reason, 0), s.sigma)
+@functools.cache
+def largest_no_sums(n):
+    # per target, the largest sum of a graphic sequence with n terms for
+    # each reason the decider gives it a *no*
+    best = {"k6": {}, "k5": {}}
+    for s in enumerate_graphic_sequences(n):
+        for key, decide in (("k6", decide_k6c4), ("k5", decide_k5c4)):
+            verdict = decide(s)
+            if not verdict.is_yes:
+                row = best[key]
+                row[verdict.reason] = max(row.get(verdict.reason, 0), s.sigma)
     return best
 
 
-@pytest.mark.parametrize("n", [10, 11])
+# n = 12 and 13: 162,769 and 614,198 graphic sequences, about 8 s together
+LONG_N = [
+    pytest.param(n, marks=(pytest.mark.slow, pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1")))
+    for n in (12, 13)
+]
+
+
+@pytest.mark.parametrize("n", [10, 11, *LONG_N])
 @pytest.mark.parametrize("key", ["k6", "k5"])
-def test_no_reasons_reach_their_closed_form_maxima(no_sums_6_to_11, key, n):
-    found = {r: x for r, x in no_sums_6_to_11[key, n].items() if r not in FIXED_REASONS}
+def test_no_reasons_reach_their_closed_form_maxima(key, n):
+    found = {r: x for r, x in largest_no_sums(n)[key].items() if r not in FIXED_REASONS}
     assert found == {r: f(n) for r, f in NO_REASON_MAXIMA[key].items()}
 
 
-def test_decider_sigma_is_6n_minus_10_and_4n_minus_4(no_sums_6_to_11):
-    # 2 more than the largest sum of a decider *no*, for every n = 6..11
+def assert_decider_sigma(n):
+    # 2 more than the largest sum of a decider *no*
+    assert max(largest_no_sums(n)["k6"].values()) + 2 == 6 * n - 10
+    assert max(largest_no_sums(n)["k5"].values()) + 2 == 4 * n - 4
+
+
+def test_decider_sigma_is_6n_minus_10_and_4n_minus_4():
     for n in range(6, 12):
-        assert max(no_sums_6_to_11["k6", n].values()) + 2 == 6 * n - 10
-        assert max(no_sums_6_to_11["k5", n].values()) + 2 == 4 * n - 4
+        assert_decider_sigma(n)
+
+
+@pytest.mark.parametrize("n", LONG_N)
+def test_decider_sigma_is_6n_minus_10_and_4n_minus_4_past_11(n):
+    assert_decider_sigma(n)
 
 
 # --- settled heads ------------------------------------------------------------
@@ -576,6 +648,32 @@ def test_settled_heads_are_yes_with_their_child():
         assert settled_failures(rows, decide, SETTLED_HEADS[key]) == [], key
     assert "9,5^3,4^7" in settled_failures(rows, decide_k6c4, ((2, 5), (4, 5), (6, 4)))
     assert settled_failures(rows, decide_k5c4, ((1, 4), (3, 4), (5, 3))) == ["4^3,3^8"]
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=12 sweep")
+def test_settled_heads_are_yes_with_their_child_n12():
+    # every graphic sequence with n = 12.  The K6-C4 d2 bound lowered by one
+    # still admits a no.  Every other bound lowered by one admits none, the
+    # K5-C4 d1 bound included (4^3,3^9, the n = 12 analogue of the n = 11
+    # no, has an odd sum)
+    rows = [(s, layoff(s)) for s in enumerate_graphic_sequences(12)]
+    assert len(rows) == 162769
+    for key, decide in (("k6", decide_k6c4), ("k5", decide_k5c4)):
+        assert settled_failures(rows, decide, SETTLED_HEADS[key]) == [], key
+    assert settled_failures(rows, decide_k6c4, ((2, 5), (4, 5), (6, 4))) == [
+        "11,5^3,4^8",
+        "9,5^3,4^8",
+        "7,5^3,4^8",
+        "5^4,4^8",
+        "5^4,4^6,3^2",
+        "5^4,4^4,3^4",
+        "5^4,4^2,3^6",
+    ]
+    for head in (((2, 6), (4, 4), (6, 4)), ((2, 6), (4, 5), (6, 3))):
+        assert settled_failures(rows, decide_k6c4, head) == [], head
+    for head in (((1, 4), (3, 4), (5, 3)), ((1, 5), (3, 3), (5, 3)), ((1, 5), (3, 4), (5, 2))):
+        assert settled_failures(rows, decide_k5c4, head) == [], head
 
 
 # --- explain ----------------------------------------------------------------
