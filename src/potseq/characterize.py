@@ -113,9 +113,12 @@ class Verdict:
     The deciders hand out one shared object for each verdict fixed by its
     target, reason, n and ``lhs`` (such as every ``OK`` at one n), so equal
     verdicts may be the same object: compare them with ``==``, never
-    ``is``.  The class is frozen, so sharing is safe.  :func:`explain`
-    formats a shared verdict's text once, when the verdict is first built,
-    and every other verdict on each call.
+    ``is``.  The class is frozen, so sharing is safe.  A shared verdict
+    carries its explanation in ``_text``, formatted once when the verdict
+    is first built.  ``_text`` is a plain attribute, not a field, so it
+    takes no part in equality, ``repr`` or ``dataclasses.replace``; a
+    ``copy`` or ``pickle`` copy carries it with the fields it was formatted
+    from, and every other verdict keeps the class default None.
     """
 
     target: str
@@ -128,6 +131,7 @@ class Verdict:
     rhs: int | None = None
     family_k: int | None = None
     family_i: int | None = None
+    _text = None
 
     def __post_init__(self) -> None:
         if (self.decision == "yes") != (self.reason == "OK"):
@@ -189,13 +193,6 @@ def k6c4_exceptions() -> ExceptionTable:
 # of verdicts per (target, n).
 _SHARED: dict[tuple[str, str, int, int | None], Verdict] = {}
 
-# id(verdict) -> explain(verdict), for the verdicts in _SHARED only.  An id
-# is unique among live objects, and _SHARED keeps each of its verdicts alive,
-# so no other object can carry one of these ids.  Keyed by identity, never
-# by fields: a hand-built Verdict may equal a shared one in every field the
-# key of _SHARED reads and still differ in rhs.
-_EXPLAINED: dict[int, str] = {}
-
 
 def _shared(target: str, reason: str, n: int, lhs: int | None = None, rhs: int | None = None) -> Verdict:
     """The one verdict for (target, reason, n, lhs); ``rhs`` must be fixed
@@ -205,9 +202,9 @@ def _shared(target: str, reason: str, n: int, lhs: int | None = None, rhs: int |
     verdict = _SHARED.get(key)
     if verdict is None:
         decision = "yes" if reason == "OK" else "no"
-        # setdefault, so that only a verdict _SHARED keeps gets an entry
-        verdict = _SHARED.setdefault(key, Verdict(target, decision, reason, n=n, lhs=lhs, rhs=rhs))
-        _EXPLAINED[id(verdict)] = _format(verdict)
+        verdict = Verdict(target, decision, reason, n=n, lhs=lhs, rhs=rhs)
+        object.__setattr__(verdict, "_text", _format(verdict))
+        _SHARED[key] = verdict
     return verdict
 
 
@@ -355,8 +352,7 @@ def explain(verdict: Verdict) -> str:
     A verdict the deciders share (see :class:`Verdict`) was formatted when
     it was built, and that same string is returned for it; any other
     verdict, equal to a shared one or not, is formatted on each call."""
-    text = _EXPLAINED.get(id(verdict))
-    return _format(verdict) if text is None else text
+    return verdict._text or _format(verdict)
 
 
 def _format(v: Verdict) -> str:

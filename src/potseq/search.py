@@ -2,8 +2,10 @@
 potential-subgraph oracle, graphic-sequence enumeration, and
 decider-vs-oracle verification, which also reads off the sigma threshold.
 
-One completion engine, ``_complete``, builds every realization: the
-oracle's, the realizer's and ``realize_graphic``'s.  It saturates one
+One completion engine, ``_complete(demand, base, m)``, builds every
+realization, in one of two modes set by m.  With m = 0 it is the plain
+completion of the realizer's placements and of ``realize_graphic``; with
+m > 0 it is the oracle's search for K_m - C4.  It saturates one
 vertex at a time (largest residual first, neighbor sets in lexicographic
 order) with an Erdos-Gallai feasibility check on the non-zero residual
 demands after each step.  Every edge it adds has a saturated end,
@@ -41,7 +43,7 @@ would pass.  The node's iterator then resumes after the landing set, so a
 later backtrack (after a dead end, or in the oracle's exhaustive *no*
 search) scans on exactly as before.
 
-With no containment test, a node applies its first set without the
+In the plain completion, a node applies its first set without the
 check, and the check waits until the search below gets stuck.  Most first
 sets pass, so most of those checks would only confirm a pass.  Deferring
 rests on the lay-off lemma (Hakimi 1962; Kleitman and Wang 1973): if the
@@ -59,11 +61,12 @@ makes the same decisions and returns the same graphs with fewer checks.
 One rule limits what a failing unchecked set costs: once a dead end's check
 finds a failing state, the call checks every set for the rest of its
 search, since its input is one on which first sets fail.  The oracle's
-search checks every set, because it returns the first partial graph that
-``accept`` passes, and that graph must complete.
+search (m > 0) checks every set, because it returns the first partial
+graph that contains the pattern, and that graph must complete.
 
 The oracle, ``oracle_decide``, answers *no* when the sorted terms do not
-dominate the pattern's sorted degrees; decider/oracle agreement on the
+dominate the pattern's sorted degrees (``_oracle_pre``, which
+``oracle_realization_k6c4`` runs too); decider/oracle agreement on the
 deciders' condition (1) therefore holds by construction, and the brute-force
 test over all graphs with n <= 6 is its independent check.  It then tries
 the realizer's placement of the pattern on the top vertices as a witness,
@@ -73,12 +76,13 @@ unsaturated vertices are then never adjacent to each other, so the residual
 check is exact, no branch is a dead end, and the search stops at the first
 partial graph that contains the pattern.
 
-The oracle's test is ``accept(adj, u)`` (a full test for ``u = -1``), called
-after every step with ``u`` the vertex that step saturated.  The parent
-graph had no copy of the pattern (the root is empty) and the new edges all
-touch ``u``, so only copies through ``u`` need to be looked for.
-Both patterns are K_m - C4 (m = 6 and m = 5), so the test is a function of
-m: the K_m - C4 finder with m - 4 hubs (``_km_c4_accept(m)``).  The hubs of
+The oracle's containment test is ``accept(adj, u)`` (a full test for
+``u = -1``); the search calls it after every step, with ``u`` the vertex
+that step saturated.  The parent graph had no copy of the pattern (the root
+is empty) and the new edges all touch ``u``, so only copies through ``u``
+need to be looked for.  Both patterns are K_m - C4 (m = 6 and m = 5), so
+the test is a function of m, and m is all the search is given: the K_m - C4
+finder with m - 4 hubs (``_km_c4_accept(m)``).  The hubs of
 a copy through ``u`` lie in N[u], since ``u`` is a hub or a quad vertex
 joined to every hub, so the finder takes its hubs from there, once ``u``
 has at least the pattern's least degree m - 3 (3 for K6-C4, 2 for K5-C4).
@@ -183,63 +187,58 @@ def realize_graphic(seq: DegreeSequence) -> Graph:
     check is exact there (see ``_complete``)."""
     if not is_graphic(seq):
         raise ValueError(f"not graphic: {render_notation(seq)}")
-    return Graph(seq.n, tuple(_complete(seq.terms, [0] * seq.n, None)))
+    return Graph(seq.n, tuple(_complete(seq.terms, [0] * seq.n)))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive completion search
 
 
-_Accept = Callable[[list[int], int], bool]
-
-
-def _complete(
-    demand: Sequence[int],
-    base: Sequence[int],
-    accept: _Accept | None,
-    pattern: TargetPattern | None = None,
-) -> list[int] | None:
+def _complete(demand: Sequence[int], base: Sequence[int], m: int = 0) -> list[int] | None:
     """Add edges to the graph ``base`` (adjacency bitmasks) until every
     vertex ``v`` has gained ``demand[v]`` new neighbors.
 
-    With ``accept`` None, returns the adjacency of the first completion in
-    search order, or None when there is none (``realize_graphic`` calls it
-    so on an empty base, where no checked step dead-ends).  Otherwise
-    returns the first partial graph on which ``accept`` holds, or None when
-    no completion satisfies it.  ``accept`` must be monotone under edge
-    addition, invariant under isomorphism and false on the empty graph, and
-    ``base`` must be empty: only then does the Erdos-Gallai check prove
-    that a partial graph can be completed.
+    ``m`` sets the mode.  With ``m = 0``, the plain completion, returns
+    the adjacency of the first completion in search order, or None when
+    there is none.  ``realize_graphic`` calls it so on an empty base, where
+    no checked step dead-ends; the realizer's placements and the second
+    pass of ``oracle_realization_k6c4`` call it on a base with edges.
 
-    With ``pattern`` given, a K_m - C4, ``accept`` must hold exactly on the
-    graphs that contain it.  The search then returns None at once when the
-    sorted demand does not dominate the pattern's sorted degrees: the
-    root's bound graph is the complete graph on the unsaturated vertices,
-    and no copy of the pattern fits its caps.  A step on which ``accept`` fails is cut,
-    undone like a dead end, when no copy of the pattern fits the bound graph
-    (``_bound_test``; the lemma and its proof are in the module
-    docstring).  A step that joins ``u`` to every unsaturated vertex leaves
-    the bound graph as it was, so it is not tested.  A cut clears the mark
-    that a leap's landing set passed, so the node's next set is checked
-    again.  The realizers pass no pattern and never build the test.
+    With ``m > 0``, the oracle's search for K_m - C4, returns the first
+    partial graph that contains K_m - C4, or None when no completion
+    contains it.  ``base`` must then be empty: only then does the
+    Erdos-Gallai check prove that a partial graph can be completed.  The
+    containment test ``accept`` is ``_km_c4_accept(m)``, looked up at the
+    call, and the cut test is ``_bound_test(demand, m)``, built at the
+    call; the plain completion builds neither.  Both callers run
+    ``_oracle_pre`` first, so the sorted demand dominates the pattern's
+    sorted degrees; a demand that does not gets None after a search in
+    which ``accept`` never holds.
+
+    A step on which ``accept`` fails is cut, undone like a dead end, when no
+    copy of the pattern fits the bound graph (``_bound_test``; the lemma
+    and its proof are in the module docstring).  A step that joins ``u`` to
+    every unsaturated vertex leaves the bound graph as it was, so it is not
+    tested.  A cut clears the mark that a leap's landing set passed, so the
+    node's next set is checked again.
 
     ``accept(adj, u)`` is called after each step that saturates ``u`` by
     adding the edges from ``u`` to a neighbor set, before the search goes
     deeper.  Each step's parent graph failed the test or is the empty base,
-    and the test is monotone, so any copy of the pattern in the new graph
-    uses a new edge, and every new edge touches ``u``: a test that only
-    looks at copies through ``u`` is exact.
+    and the test holds exactly on the graphs that contain the pattern, so
+    any copy of the pattern in the new graph uses a new edge, and every new
+    edge touches ``u``: a test that only looks at copies through ``u`` is
+    exact.
 
     Every edge the search adds has a saturated end: it joins the step's
     ``u``, whose residual stays 0 while its frame is open, to a neighbor.
     So two unsaturated vertices are adjacent only through an edge of
     ``base``, and a step's candidates are the other unsaturated vertices
     minus ``base[u]``, found without a scan of ``adj``; the filter runs
-    only when ``base[u]`` is non-zero (the realizer's top m vertices;
-    never in the oracle's search or ``realize_graphic``, whose base is
-    empty).  The Erdos-Gallai check after a step looks at the non-zero
-    residuals only: a saturated vertex adds a zero term, which changes no
-    inequality.
+    only when ``base[u]`` is non-zero (on a base with edges; never in the
+    oracle's search or ``realize_graphic``, whose base is empty).  The
+    Erdos-Gallai check after a step looks at the non-zero residuals only:
+    a saturated vertex adds a zero term, which changes no inequality.
 
     A node saturates a vertex ``u`` with the largest residual ``r``.  That
     residual is read off the head of the live terms that the parent's check
@@ -262,10 +261,10 @@ def _complete(
     the lemma the leap rests on, and that the leap expands the same sets
     as the scan.
 
-    With ``accept`` None, a node applies its first set without the check,
-    and its frame is marked unchecked: the unchecked frames are those from
-    index ``checked`` to the top of the stack, so one index marks them
-    all.  Their nodes have tried no other set, so the first backtrack into
+    In the plain completion, a node applies its first set without the
+    check, and its frame is marked unchecked: the unchecked frames are
+    those from index ``checked`` to the top of the stack, so one index
+    marks them all.  Their nodes have tried no other set, so the first backtrack into
     one of them comes after a dead end.  There the unchecked states are
     checked from the top of the stack: each failing frame is popped, and the
     shallowest of them is pushed back with its set undone and one failure
@@ -282,20 +281,17 @@ def _complete(
     adj = list(base)
     n = len(adj)
     residual = list(demand)
-    holds = None
-    if pattern is not None:
-        # the root's bound graph: no copy of the pattern fits its caps
-        if not _dominates(sorted(demand, reverse=True), pattern.degree_multiset):
-            return None
-        holds = _bound_test(demand, pattern)
+    if m:
+        accept = _km_c4_accept(m)
+        holds = _bound_test(demand, m)
     # the next node's largest residual: the head of the live terms the check
     # has just sorted, or their max where no check ran (at the root, and
     # after a leap's landing set or an unchecked first set)
     top = max(residual) if n else 0
     stack: list[list] = []
-    # first sets go unchecked only with no containment test; the frames
+    # first sets go unchecked only in the plain completion; the frames
     # below ``checked`` hold states known to pass
-    defer = accept is None
+    defer = not m
     checked = 0
     while True:
         # open a node on the current graph and take its first neighbor set;
@@ -305,7 +301,7 @@ def _complete(
         combo = None
         r = top
         if r == 0:
-            if accept is None:
+            if not m:
                 return adj
         else:
             u = residual.index(r)
@@ -400,10 +396,10 @@ def _complete(
                 nb |= 1 << v
                 adj[v] |= bit
             adj[u] = nb
-            if accept is not None:
+            if m:
                 if accept(adj, u):
                     return adj
-                if holds is not None and r < len(cands) and not holds(adj, residual, u):
+                if r < len(cands) and not holds(adj, residual, u):
                     # cut: undo the step like a dead end, and check the
                     # next set even if this one was a leap's landing set
                     combo = None
@@ -412,7 +408,7 @@ def _complete(
             break
 
 
-def _bound_test(demand: Sequence[int], pattern: TargetPattern) -> Callable[[list[int], list[int], int], bool]:
+def _bound_test(demand: Sequence[int], m: int) -> Callable[[list[int], list[int], int], bool]:
     """The oracle search's cut test ``holds(adj, residual, u)``, for a step
     that has just saturated ``u``: False only when the pattern has no
     embedding in the bound graph G+ (``adj`` plus every pair of unsaturated
@@ -436,7 +432,6 @@ def _bound_test(demand: Sequence[int], pattern: TargetPattern) -> Callable[[list
     The masks are built on the first call, which many searches never make.
     """
     n = len(demand)
-    m = pattern.vertex_count
     bits: list[int] = []
     masks: list[int] = []
 
@@ -553,22 +548,17 @@ def _first_passing(residual: list[int], cands: list[int], r: int, after: tuple[i
 
 def _oracle_pre(seq: DegreeSequence, target: Target, bound: int) -> bool:
     """Refuse sequences above the bound or not graphic; then whether the
-    sorted terms dominate the pattern's sorted degrees, which any graph
-    containing the pattern must do."""
+    sorted terms dominate the pattern's sorted degrees term by term, with at
+    least as many terms, which any graph containing the pattern must do."""
     _check_bound(seq.n, bound)
     if not is_graphic(seq):
         raise ValueError(f"oracle requires a graphic sequence, got {render_notation(seq)}")
-    return _dominates(seq.terms, target.pattern.degree_multiset)
-
-
-def _dominates(terms: Sequence[int], degrees: tuple[int, ...]) -> bool:
-    """Whether the non-increasing ``terms`` dominate the non-increasing
-    ``degrees`` term by term, with at least as many terms."""
-    return len(terms) >= len(degrees) and all(map(ge, terms, degrees))
+    degrees = target.pattern.degree_multiset
+    return seq.n >= len(degrees) and all(map(ge, seq.terms, degrees))
 
 
 @cache
-def _km_c4_accept(m: int) -> _Accept:
+def _km_c4_accept(m: int) -> Callable[[list[int], int], bool]:
     """The oracle's containment test ``accept(adj, u)`` for K_m - C4 (a
     full test for ``u = -1``, else only copies through ``u``), from the
     K_m - C4 finder with m - 4 hubs.  A copy through u has its hubs in
@@ -596,15 +586,14 @@ def oracle_decide(seq: DegreeSequence, target: Target, bound: int = DEFAULT_ORAC
     if not _oracle_pre(seq, target, bound):
         return False
     m = target.pattern.vertex_count
-    accept = _km_c4_accept(m)
     found = _place_km_c4(seq.terms, m)
     if found is not None:
         adj = found[0]
         # every row: a padded witness must not pass on its first n rows
         # a display: see _place_km_c4
-        if (*map(int.bit_count, adj),) == seq.terms and accept(adj, -1):
+        if (*map(int.bit_count, adj),) == seq.terms and _km_c4_accept(m)(adj, -1):
             return True
-    return _complete(seq.terms, [0] * seq.n, accept, target.pattern) is not None
+    return _complete(seq.terms, [0] * seq.n, m) is not None
 
 
 def oracle_decide_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
@@ -623,12 +612,12 @@ def oracle_realization_k6c4(seq: DegreeSequence, bound: int = DEFAULT_ORACLE_BOU
     target = TARGETS["k6-c4"]
     if not _oracle_pre(seq, target, bound):
         return None
-    adj = _complete(seq.terms, [0] * seq.n, _km_c4_accept(target.pattern.vertex_count), target.pattern)
+    adj = _complete(seq.terms, [0] * seq.n, target.pattern.vertex_count)
     if adj is None:
         return None
     residual = [d - a.bit_count() for d, a in zip(seq.terms, adj)]
     # the residual passed the exact Erdos-Gallai check, so this completes
-    adj = _complete(residual, adj, None)
+    adj = _complete(residual, adj)
     if adj is None:
         raise AssertionError("feasible residual had no extension")
     return Graph(seq.n, tuple(adj))
@@ -786,7 +775,7 @@ def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | Non
     # resized, and freed into a free list it never takes from
     for h, q, row in _class_list((*map(eq, d, d[1:m]),)):
         if d[h] >= m - 1 and d[q] >= m - 3:
-            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros, None)
+            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros)
             if adj is not None:
                 return adj, row
     return None
@@ -920,8 +909,10 @@ def verify_range(
     order, a witness replacing the current one only on a strictly larger
     sum, so reports are identical for any ``jobs`` value, and memory does
     not grow with the number of sequences.  ``progress(done, total)``
-    counts shards.
+    counts shards.  Raises ValueError for n < 1, as the enumeration does.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     _check_bound(n, bound)
     start = time.perf_counter()
     key = _key_of(target)

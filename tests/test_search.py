@@ -414,7 +414,7 @@ def test_completion_engine_matches_brute_force():
             all(sum(x in e for e in added) == demand[x] for x in range(n))
             for added in itertools.combinations(free, sum(demand) // 2)
         )
-        got = _complete(demand, base, None)
+        got = _complete(demand, base)
         assert (got is not None) == exists, (base, demand)
         if got is not None:
             Graph(n, tuple(got))  # symmetric and loop-free
@@ -488,13 +488,13 @@ def reference_complete(demand, base, accept):
 
 
 def test_completion_engine_on_no_vertices():
-    assert _complete([], [], None) == []
-    assert _complete([], [], search._km_c4_accept(5)) is None
+    assert _complete([], []) == []
+    assert _complete([], [], 5) is None
 
 
 def test_completion_engine_takes_no_check_policy():
-    # whether first sets go unchecked follows from ``accept`` alone
-    assert list(inspect.signature(_complete).parameters) == ["demand", "base", "accept", "pattern"]
+    # whether first sets go unchecked follows from the mode ``m`` alone
+    assert list(inspect.signature(_complete).parameters) == ["demand", "base", "m"]
 
 
 def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
@@ -507,9 +507,9 @@ def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
     problems = []
     engine = search._complete
 
-    def recorded(demand, base, accept, pattern=None):
+    def recorded(demand, base, m=0):
         problems.append((list(demand), list(base)))
-        return engine(demand, base, accept, pattern)
+        return engine(demand, base, m)
 
     monkeypatch.setattr(search, "_complete", recorded)
     for n in range(5, 10):
@@ -528,7 +528,7 @@ def test_nodes_build_their_iterators_on_first_backtrack(monkeypatch):
 
         monkeypatch.setattr(search, name, counted)
     for demand, base in problems:
-        engine(demand, base, None)
+        engine(demand, base)
     assert len(problems) == 7105
     assert built == {"combinations": 1950, "_twin_before": 1950, "_eg_ok": 7017}
 
@@ -544,13 +544,13 @@ def test_completion_engine_matches_reference_random():
                 base[u] |= 1 << v
                 base[v] |= 1 << u
         demand = [rng.randint(0, 3) for _ in range(n)]
-        assert _complete(demand, base, None) == reference_complete(demand, base, None), (base, demand)
+        assert _complete(demand, base) == reference_complete(demand, base, None), (base, demand)
     for _ in range(300):
         n = rng.randint(1, 9)
         demand = gnp_degrees(rng, n, rng.uniform(0.3, 0.9))
-        for accept in (search._km_c4_accept(5), search._km_c4_accept(6)):
+        for m in (5, 6):
             empty = [0] * n
-            assert _complete(demand, empty, accept) == reference_complete(demand, empty, accept), demand
+            assert _complete(demand, empty, m) == reference_complete(demand, empty, search._km_c4_accept(m)), demand
 
 
 def test_completion_engine_matches_reference_on_placements(monkeypatch):
@@ -559,9 +559,9 @@ def test_completion_engine_matches_reference_on_placements(monkeypatch):
     engine = search._complete
     problems = []
 
-    def both(demand, base, accept, pattern=None):
-        got = engine(demand, base, accept, pattern)
-        assert got == reference_complete(demand, base, accept), (list(demand), list(base))
+    def both(demand, base, m=0):
+        got = engine(demand, base, m)
+        assert got == reference_complete(demand, base, None), (list(demand), list(base))
         problems.append(got is not None)
         return got
 
@@ -589,9 +589,9 @@ def test_deferred_checks_make_the_eager_decisions(monkeypatch):
     engine = search._complete
     problems = []
 
-    def recorded(demand, base, accept, pattern=None):
+    def recorded(demand, base, m=0):
         problems.append((list(demand), list(base)))
-        return engine(demand, base, accept, pattern)
+        return engine(demand, base, m)
 
     monkeypatch.setattr(search, "_complete", recorded)
     rng = random.Random(25)
@@ -623,7 +623,7 @@ def test_deferred_checks_make_the_eager_decisions(monkeypatch):
     resolved = calls = 0
     for demand, base in problems:
         del log[:], checks[:]
-        got = engine(demand, base, None)
+        got = engine(demand, base)
         digest.update(repr((got, log)).encode() + b"\n")
         calls += len(checks)
         # before its first dead end, a deferring run checks nothing: a
@@ -653,10 +653,10 @@ def dense_placements_match_reference(monkeypatch, seed, sizes, count):
             raise OverBudget
         return _eg_ok(terms)
 
-    def both(demand, base, accept, pattern=None):
+    def both(demand, base, m=0):
         checks[0] = 0
-        got = engine(demand, base, accept, pattern)
-        assert got == reference_complete(demand, base, accept), (list(demand), list(base))
+        got = engine(demand, base, m)
+        assert got == reference_complete(demand, base, None), (list(demand), list(base))
         problems.append(got)
         return got
 
@@ -780,7 +780,7 @@ def test_nodes_leap_only_from_a_run_of_failing_sets(monkeypatch):
                 base[u] |= 1 << v
                 base[v] |= 1 << u
         demand = [rng.randint(0, 5) for _ in range(n)]
-        assert _complete(demand, base, None) == reference_complete(demand, base, None), (base, demand)
+        assert _complete(demand, base) == reference_complete(demand, base, None), (base, demand)
     assert len(leaps) > 40
 
 
@@ -869,7 +869,7 @@ def test_placements_try_every_class_in_order(monkeypatch):
     # the reference's order
     problems = []
 
-    def never(demand, base, accept, pattern=None):
+    def never(demand, base, m=0):
         problems.append((list(demand), list(base)))
         return None
 
@@ -890,7 +890,7 @@ def reference_placement_problems(d, m):
     problems = []
     for demand, base in reference_problems(d, m):
         problems.append((demand, base))
-        adj = _complete(demand, base, None)
+        adj = _complete(demand, base)
         if adj is not None:
             return problems, adj
     return problems, None
@@ -902,9 +902,9 @@ def placements_pose_reference_problems(monkeypatch, tops):
     engine = search._complete
     problems = []
 
-    def recorded(demand, base, accept, pattern=None):
+    def recorded(demand, base, m=0):
         problems.append((list(demand), list(base)))
-        return engine(demand, base, accept, pattern)
+        return engine(demand, base, m)
 
     monkeypatch.setattr(search, "_complete", recorded)
     counts = []
@@ -1032,10 +1032,11 @@ def test_an_equal_pattern_finds_its_target():
 
 
 def exhaustive_only(s, pattern):
-    # the reference: the completion search alone, with the generic full
-    # containment test, no dominance precheck and no placement witness
+    # the reference: reference_complete alone, with the generic full
+    # containment test, no dominance precheck, no placement witness, and no
+    # leap, deferral or cut of search._complete
     accept = lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern, [a.bit_count() for a in adj])
-    return _complete(s.terms, [0] * s.n, accept) is not None
+    return reference_complete(s.terms, [0] * s.n, accept) is not None
 
 
 def test_oracle_engines_agree_small():
@@ -1123,10 +1124,11 @@ def test_oracle_checks_the_placement_witness(monkeypatch, key, witness):
 
 def compare_cut_engine(monkeypatch, demands):
     # the oracle's search, with the bound-graph cut, against reference_complete,
-    # which has none, on every demand for both targets.  Every graph that
-    # accept sees must still have a completion; returns the number of cuts
-    # and of cuts that undo a leap's landing set
-    leap, bound_test = search._first_passing, search._bound_test
+    # which has none, on every demand whose sorted terms dominate the pattern's
+    # degrees, as _oracle_pre lets through, for both targets.  Every graph
+    # that accept sees must still have a completion; returns the number of
+    # cuts and of cuts that undo a leap's landing set
+    leap, bound_test, km_c4_accept = search._first_passing, search._bound_test, search._km_c4_accept
     seen = {"steps": 0, "leap": None, "cuts": 0, "leap_cuts": 0}
 
     def leaping(*args):
@@ -1135,8 +1137,8 @@ def compare_cut_engine(monkeypatch, demands):
             seen["leap"] = seen["steps"]
         return landing
 
-    def counting(demand, pattern):
-        holds = bound_test(demand, pattern)
+    def counting(demand, m):
+        holds = bound_test(demand, m)
 
         def counted(adj, residual, u):
             ok = holds(adj, residual, u)
@@ -1148,21 +1150,30 @@ def compare_cut_engine(monkeypatch, demands):
 
         return counted
 
+    def checked_accept(m):
+        contains = km_c4_accept(m)
+
+        def accept(adj, u):
+            seen["steps"] += 1
+            left = sorted((d - a.bit_count() for d, a in zip(demand, adj)), reverse=True)
+            assert _eg_ok(left), (demand, adj)
+            return contains(adj, u)
+
+        return accept
+
     monkeypatch.setattr(search, "_first_passing", leaping)
     monkeypatch.setattr(search, "_bound_test", counting)
+    monkeypatch.setattr(search, "_km_c4_accept", checked_accept)
     for demand in demands:
         empty = [0] * len(demand)
+        top = sorted(demand, reverse=True)
         for target in TARGETS.values():
-            contains = search._km_c4_accept(target.pattern.vertex_count)
-
-            def accept(adj, u):
-                seen["steps"] += 1
-                left = sorted((d - a.bit_count() for d, a in zip(demand, adj)), reverse=True)
-                assert _eg_ok(left), (demand, adj)
-                return contains(adj, u)
-
-            got = _complete(demand, empty, accept, target.pattern)
-            assert got == reference_complete(demand, empty, contains), (target.pattern.name, demand)
+            degrees = target.pattern.degree_multiset
+            if len(top) < len(degrees) or any(t < d for t, d in zip(top, degrees)):
+                continue
+            m = target.pattern.vertex_count
+            got = _complete(demand, empty, m)
+            assert got == reference_complete(demand, empty, km_c4_accept(m)), (target.pattern.name, demand)
     return seen["cuts"], seen["leap_cuts"]
 
 
@@ -1214,13 +1225,16 @@ def check_cut_against_capped_embedding(monkeypatch, lengths):
     bound_test = search._bound_test
     seen = {}
 
-    def checking(demand, pattern):
-        holds = bound_test(demand, pattern)
+    patterns = {target.pattern.vertex_count: target.pattern for target in TARGETS.values()}
+
+    def checking(demand, m):
+        holds = bound_test(demand, m)
+        pattern = patterns[m]
         counts = seen.setdefault(pattern.name, [0, 0])
 
         def checked(adj, residual, u):
             got = holds(adj, residual, u)
-            if passes_without_search(demand, residual, u, pattern.vertex_count):
+            if passes_without_search(demand, residual, u, m):
                 assert got is True
             else:
                 expected = _contains_pattern_adj(bound_graph(adj, residual), len(adj), pattern, caps=demand)
@@ -1274,7 +1288,7 @@ def test_cut_test_matches_capped_embedding_random():
         u = rng.randrange(n)
         if passes_without_search(demand, residual, u, m):
             continue
-        got = search._bound_test(demand, pattern)(adj, residual, u)
+        got = search._bound_test(demand, m)(adj, residual, u)
         assert got == _contains_pattern_adj(bound_graph(adj, residual), n, pattern, caps=demand), (
             pattern.name, demand, adj, residual, u
         )
@@ -1282,22 +1296,26 @@ def test_cut_test_matches_capped_embedding_random():
     assert min(answers.values()) > 100, answers
 
 
-@pytest.mark.parametrize("text,pattern", [("4^5,3^2,2^2", K6_MINUS_C4), ("4^5", K6_MINUS_C4), ("3^6", K5_MINUS_C4)])
-def test_cut_engine_stops_at_a_root_without_dominance(text, pattern):
-    # no term, or too few terms, reach the pattern's degrees: the search
-    # answers with no step and no test, as the exhaustive reference does
-    # after searching every realization
-    demand = seq(text).terms
-    contains = search._km_c4_accept(pattern.vertex_count)
-    calls = []
+@pytest.mark.parametrize(
+    "text,key", [("4^5,3^2,2^2", "k6-c4"), ("4^5", "k6-c4"), ("3^4,2", "k6-c4"), ("3^6", "k5-c4"), ("3^4", "k5-c4")]
+)
+def test_oracle_stops_at_a_sequence_without_dominance(monkeypatch, text, key):
+    # no term, or too few terms, reach the pattern's degrees: the oracle
+    # answers no with no placement, no search and no containment test, as
+    # the exhaustive reference does after searching every realization
+    s = seq(text)
+    target = TARGETS[key]
+    contains = search._km_c4_accept(target.pattern.vertex_count)
 
-    def counted(adj, u):
-        calls.append(u)
-        return contains(adj, u)
+    def refused(*args):
+        raise AssertionError(f"the oracle went past dominance on {text}")
 
-    assert _complete(demand, [0] * len(demand), counted, pattern) is None
-    assert calls == []
-    assert reference_complete(demand, [0] * len(demand), contains) is None
+    for name in ("_place_km_c4", "_complete", "_km_c4_accept"):
+        monkeypatch.setattr(search, name, refused)
+    assert oracle_decide(s, target) is False
+    if key == "k6-c4":
+        assert oracle_realization_k6c4(s) is None
+    assert reference_complete(s.terms, [0] * s.n, contains) is None
 
 
 def test_cut_saves_search_work(monkeypatch):
@@ -1329,14 +1347,14 @@ def test_cut_saves_search_work(monkeypatch):
 
 
 def test_realizer_makes_no_cut_test(monkeypatch):
-    # the cut needs an empty base and a pattern that accept tests for: the
-    # realizer's completions (base edges, no accept) never build the test
+    # the cut needs an empty base and the oracle's mode m > 0: the
+    # realizer's completions (base edges, m = 0) never build the test
     built = []
     bound_test = search._bound_test
 
-    def recorded(demand, pattern):
-        built.append(pattern)
-        return bound_test(demand, pattern)
+    def recorded(demand, m):
+        built.append(m)
+        return bound_test(demand, m)
 
     monkeypatch.setattr(search, "_bound_test", recorded)
     for n in range(5, 9):
@@ -1346,7 +1364,7 @@ def test_realizer_makes_no_cut_test(monkeypatch):
                     realize(s)
     assert built == []
     assert oracle_decide_k6c4(seq("5^2,4,3^6")) is False
-    assert built == [K6_MINUS_C4]
+    assert built == [6]
 
 
 # --- enumeration ------------------------------------------------------------
@@ -1471,6 +1489,14 @@ def test_sigma_comes_from_the_oracle_alone(monkeypatch):
 
 
 # --- verification -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("pattern", [K6_MINUS_C4, K5_MINUS_C4])
+@pytest.mark.parametrize("n", [0, -3])
+def test_verify_range_refuses_lengths_below_one(n, pattern):
+    # as the enumeration does, not with an empty report
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        verify_range(n, pattern, progress=lambda done, total: pytest.fail("a shard ran"))
 
 
 def test_verify_range_n6_clean():
