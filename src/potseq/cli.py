@@ -3,7 +3,9 @@
 Commands: check-graphic, check, realize, sigma, verify.  Exit codes are
 uniform across commands: 0 = yes/success, 1 = principled no, 2 = usage or
 bounds error, 3 = internal invariant breach or any other unexpected error.
-Data goes to stdout; progress and diagnostics go to stderr.
+Data goes to stdout; progress and diagnostics go to stderr.  A command
+refuses its input by raising; ``main`` alone turns a refusal, or a search
+above the oracle bound, into ``error: <message>`` and exit 2.
 """
 
 from __future__ import annotations
@@ -27,12 +29,16 @@ EXIT_USAGE = 2
 EXIT_BREACH = 3
 
 
-def _parse_sequence_or_exit(text: str) -> DegreeSequence:
+class _Refusal(Exception):
+    """A usage error: ``main`` prints ``error: <message>`` and exits 2."""
+
+
+def _parse_sequence(text: str) -> DegreeSequence:
+    # only the user's literal: a shipped table that fails to parse is a breach
     try:
         return parse_notation(text)
     except NotationError as exc:
-        print(f"error: cannot parse sequence: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise _Refusal(f"cannot parse sequence: {exc}")
 
 
 def _emit_json(payload: dict) -> None:
@@ -40,7 +46,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_check_graphic(args: argparse.Namespace) -> int:
-    seq = _parse_sequence_or_exit(args.sequence)
+    seq = _parse_sequence(args.sequence)
     by_inequalities = is_graphic(seq)
     by_layoff = is_graphic_layoff(seq)
     if by_inequalities != by_layoff:
@@ -68,7 +74,7 @@ def _cmd_check_graphic(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    seq = _parse_sequence_or_exit(args.sequence)
+    seq = _parse_sequence(args.sequence)
     verdict = TARGETS[args.target].decide(seq)
     if args.json:
         _emit_json(
@@ -96,7 +102,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    seq = _parse_sequence_or_exit(args.sequence)
+    seq = _parse_sequence(args.sequence)
     try:
         cert = TARGETS[args.target].realize(seq)
     except NotPotentialError as exc:
@@ -116,8 +122,7 @@ def _cmd_realize(args: argparse.Namespace) -> int:
         try:
             g6 = encode_graph6(cert.graph)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(exc)
         for c in comments:
             print(f"# {c}")
         print(g6)
@@ -130,17 +135,11 @@ def _cmd_sigma(args: argparse.Namespace) -> int:
     target = TARGETS[args.target]
     pattern = target.pattern
     if args.n < pattern.vertex_count:
-        print(f"error: sigma for {pattern.name} needs n >= {pattern.vertex_count}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"sigma for {pattern.name} needs n >= {pattern.vertex_count}")
     if target.sigma_formula is None and args.mode != "search":
-        print("error: no closed-form sigma for this target; use --mode search", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal("no closed-form sigma for this target; use --mode search")
     if args.mode in ("search", "both"):
-        try:
-            report = verify_range(args.n, pattern, bound=args.oracle_bound)
-        except OracleBoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        report = verify_range(args.n, pattern, bound=args.oracle_bound)
     if args.mode == "formula":
         print(target.sigma_formula(args.n))
         return EXIT_YES
@@ -181,14 +180,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         ns = _parse_n_range(args.n)
     except ValueError as exc:
-        print(f"error: bad --n value: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    # the whole range is refused before any sweep runs
-    try:
-        _check_bound(ns[-1], args.oracle_bound)
-    except OracleBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(f"bad --n value: {exc}")
+    _check_bound(ns[-1], args.oracle_bound)  # refuses the whole range before any sweep
     target = TARGETS[args.target].pattern
     reports = []
     for n in ns:
@@ -254,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (_Refusal, OracleBoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # every failure a command does not handle is a breach
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BREACH

@@ -68,12 +68,13 @@ class Graph:
     Construction checks the rows by one of two routes.  With at most 64
     vertices they are packed into a 64x64 bit matrix, and a few big-integer
     operations test the rows' range, find loops and compare the matrix with
-    its transpose.  Past 64 vertices, and whenever that test fails, a scan
-    row by row and pair by pair does the check and names the first bad
-    vertex or pair.  The cut follows from the input size: a packed test's
-    masks and operands grow as the square of its stride (32 MiB per mask
-    for the 2**14-bit stride that n = 10**4 needs), while the scan takes a
-    few steps per vertex and per edge, which on the sparse graphs of long
+    its transpose.  Past 64 vertices, and whenever that test fails, one pass
+    over the rows names the first bad vertex or pair: it compares each
+    row's bits below the diagonal with the column bits that earlier rows
+    set.  The cut follows from the input size: a packed test's masks and
+    operands grow as the square of its stride (32 MiB per mask for the
+    2**14-bit stride that n = 10**4 needs), while the pass takes a few
+    steps per vertex and per edge, which on the sparse graphs of long
     sequences is far less work.
     """
 
@@ -86,31 +87,27 @@ class Graph:
         adj = self.adj
         if self.n <= 64 and _simple_by_transpose(adj, self.n):
             return
+        # below[v] holds the rows u < v with bit v; at row v it is complete,
+        # and its bits that differ from row v's are the asymmetric pairs (u, v)
         full = (1 << self.n) - 1
+        below = [0] * self.n
+        first = (self.n, 0)  # the least (u, v), u < v, found asymmetric
         for u, mask in enumerate(adj):
-            if mask >> u & 1:
+            bit = 1 << u
+            if mask & bit:
                 raise ValueError(f"loop at vertex {u}")
             if mask & ~full:
                 raise ValueError(f"neighbor bit out of range at vertex {u}")
-        # symmetric iff every bit above the diagonal is mirrored below it and
-        # there are as many bits above as below
-        mirrored = True
-        above = below = 0
-        for u, mask in enumerate(adj):
+            odd = (mask & bit - 1) ^ below[u]
+            if odd:
+                first = min(first, ((odd & -odd).bit_length() - 1, u))
             rest = mask >> u + 1
-            above += rest.bit_count()
-            below += (mask & (1 << u) - 1).bit_count()
-            v = u + 1
-            while rest and mirrored:
-                skip = (rest & -rest).bit_length()
-                v += skip
-                rest >>= skip
-                mirrored = adj[v - 1] >> u & 1
-        if not mirrored or above != below:
-            for u in range(self.n):
-                for v in range(u + 1, self.n):
-                    if (adj[u] >> v & 1) != (adj[v] >> u & 1):
-                        raise ValueError(f"asymmetric adjacency at ({u},{v})")
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                below[u + low.bit_length()] |= bit
+        if first[0] < self.n:
+            raise ValueError(f"asymmetric adjacency at ({first[0]},{first[1]})")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

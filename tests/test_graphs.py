@@ -110,6 +110,25 @@ def test_graph_validation_names_first_asymmetric_pair():
                 elif kind == 3:
                     adj[u] = -rng.randint(1, 1 << n + 1)
             assert_checked_like_reference(n, tuple(adj))
+    # past the cut, with only the last rows corrupted, so that the first bad
+    # pair comes after nearly every other pair in row order
+    rng = random.Random(300)
+    for n in range(65, 301, 15):
+        for p in (0.02, 0.1, 0.5):
+            for kinds in (1, 4):  # flipped pairs only, or any corruption
+                adj = list(random_graph(rng, n, p).adj)
+                for _ in range(rng.randint(0, 3)):
+                    u, v = rng.sample(range(n - 6, n), 2)
+                    kind = rng.randrange(kinds)
+                    if kind == 0:
+                        adj[u] ^= 1 << v
+                    elif kind == 1:
+                        adj[u] |= 1 << u
+                    elif kind == 2:
+                        adj[u] |= 1 << rng.randrange(n, n + 70)
+                    else:
+                        adj[u] = -rng.randint(1, 1 << n + 1)
+                assert_checked_like_reference(n, tuple(adj))
 
 
 def test_graph_validation_exhaustive_n5():

@@ -1069,6 +1069,28 @@ def test_oracle_obeys_the_layoff_lemma(oracle_through_n9):
     assert pairs == 6754
 
 
+def low_children(terms):
+    """The graphic children of ``terms``: its last term d laid off onto any d
+    of the other terms, zeros stripped.  A child is fixed by how many terms
+    of each run of equal terms it lowers, so each comes once."""
+    rest, last = terms[:-1], terms[-1]
+    runs = [(t, rest.count(t)) for t in sorted(set(rest), reverse=True)]
+    kids = []
+
+    def place(i, left, child):
+        if i < len(runs):
+            t, c = runs[i]
+            for k in range(min(c, left) + 1):
+                place(i + 1, left - k, child + [t] * (c - k) + [t - 1] * k)
+        elif not left:
+            s = DegreeSequence.of(child)
+            if is_graphic(s):
+                kids.append(s)
+
+    place(0, last, [])
+    return kids
+
+
 def test_oracle_obeys_the_low_vertex_reduction(oracle_through_n9):
     # a vertex of degree below H's least degree m - 3 lies in no copy of H,
     # so deleting it keeps every copy: pi is potentially H-graphic iff some
@@ -1078,19 +1100,62 @@ def test_oracle_obeys_the_low_vertex_reduction(oracle_through_n9):
     for key, answers in oracle_through_n9.items():
         least = TARGETS[key].pattern.vertex_count - 3
         for terms, yes in answers.items():
-            last = terms[-1]
-            if last >= least:
+            if terms[-1] >= least:
                 continue
-            rest = terms[:-1]
-            kids = set()
-            for picked in itertools.combinations(range(len(rest)), last):
-                child = DegreeSequence.of([t - (i in picked) for i, t in enumerate(rest)])
-                if is_graphic(child):
-                    kids.add(child.terms)
+            kids = [c.terms for c in low_children(terms)]
             reduced += 1
             children += len(kids)
             assert yes == any(answers[c] for c in kids if c), (key, terms, sorted(kids))
     assert (reduced, children) == (5149, 15020)
+
+
+def decider_closure(key, ns):
+    """Over the graphic sequences of the lengths ``ns`` whose last term is
+    below the pattern's least degree: the count of each decider reason, the
+    number of children, the sequences whose decider answer is not whether
+    some child is decider-yes, and the number of sequences whose answer
+    differs from their classical child's."""
+    target = TARGETS[key]
+    least = target.pattern.vertex_count - 3
+    reasons = collections.Counter()
+    children = classical = 0
+    failures = []
+    for n in ns:
+        for s in enumerate_graphic_sequences(n):
+            if s.terms[-1] >= least:
+                continue
+            verdict = target.decide(s)
+            reasons[verdict.reason] += 1
+            kids = low_children(s.terms)
+            children += len(kids)
+            if verdict.is_yes != any(target.decide(c).is_yes for c in kids):
+                failures.append(render_notation(s))
+            classical += verdict.is_yes != target.decide(layoff(s)).is_yes
+    return dict(reasons), children, failures, classical
+
+
+def test_decider_obeys_the_low_vertex_reduction():
+    # the oracle test's statement with the decider on both sides, from the
+    # pattern's vertex count: on a low sequence the decider says yes iff
+    # some child is decider-yes.  The last count shows that a rule taking
+    # only the classical child would be wrong
+    k6 = {"OK": 37298, "COND1_D2": 2452, "COND1_D6": 2367, "COND2_SUM": 146, "COND2_RESIDUAL": 15,
+          "COND3_FIXED": 12, "COND3_FAMILY_A": 4, "COND3_FAMILY_B": 3}
+    k5 = {"OK": 24158, "COND1_D5": 253, "COND1_D1": 130, "COND2_FAMILY_KI": 43}
+    assert (sum(k6.values()), sum(k5.values())) == (42297, 24584)
+    assert decider_closure("k6-c4", range(6, 12)) == (k6, 197730, [], 436)
+    assert decider_closure("k5-c4", range(5, 12)) == (k5, 79078, [], 77)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not RUN_LONG, reason="set POTSEQ_RUN_LONG=1 for the n=12..14 sweep")
+def test_decider_obeys_the_low_vertex_reduction_n12_14():
+    k6 = {"OK": 2107755, "COND1_D6": 11281, "COND1_D2": 6251, "COND2_SUM": 632, "COND2_RESIDUAL": 21,
+          "COND3_FAMILY_A": 3, "COND3_FAMILY_B": 3}
+    k5 = {"OK": 1227424, "COND1_D5": 421, "COND1_D1": 140, "COND2_FAMILY_KI": 72}
+    assert (sum(k6.values()), sum(k5.values())) == (2125946, 1228057)
+    assert decider_closure("k6-c4", range(12, 15)) == (k6, 15992220, [], 1070)
+    assert decider_closure("k5-c4", range(12, 15)) == (k5, 5316743, [], 103)
 
 
 @pytest.mark.parametrize("key", ["k6-c4", "k5-c4"])
