@@ -241,9 +241,7 @@ def _matching_pair_in(adj: Sequence[int], common: int) -> tuple[tuple[int, int],
     return None
 
 
-def _find_km_minus_c4_adj(
-    adj: Sequence[int], n: int, hub_count: int, hubs: int | None = None
-) -> PatternWitness | None:
+def _find_km_minus_c4_adj(adj: Sequence[int], hub_count: int, hubs: int | None = None) -> PatternWitness | None:
     """First K_m - C4 (m = hub_count + 4, hub_count 1 or 2, unchecked)
     whose hubs all lie in the bitmask ``hubs`` (default: every vertex),
     hubs in ascending order.
@@ -255,7 +253,7 @@ def _find_km_minus_c4_adj(
     without changing which witness comes first.
     """
     need = hub_count + 3
-    rest = (1 << n) - 1 if hubs is None else hubs
+    rest = (1 << len(adj)) - 1 if hubs is None else hubs
     while rest:
         low = rest & -rest
         rest ^= low
@@ -285,7 +283,7 @@ def find_km_minus_c4(g: Graph, m: int) -> PatternWitness | None:
     """Witness for a K_m - C4 subgraph (m in {5, 6}), or None."""
     if m not in (5, 6):
         raise ValueError("only K5-C4 and K6-C4 are supported")
-    return _find_km_minus_c4_adj(g.adj, g.n, m - 4)
+    return _find_km_minus_c4_adj(g.adj, m - 4)
 
 
 @lru_cache(maxsize=16)  # bounded: contains_pattern takes any pattern
@@ -323,14 +321,14 @@ def _embedding_steps(pattern: TargetPattern) -> tuple[tuple[int, tuple[int, ...]
     )
 
 
-def _contains_pattern_adj(adj: Sequence[int], n: int, pattern: TargetPattern, caps: Sequence[int]) -> bool:
+def _contains_pattern_adj(adj: Sequence[int], pattern: TargetPattern, caps: Sequence[int]) -> bool:
     """Whether the graph contains ``pattern`` with every pattern vertex on a
     host whose cap ``caps[v]`` is at least its pattern degree; with each
     host's degree as its cap, whether the graph contains the pattern."""
-    if pattern.vertex_count > n:
+    if pattern.vertex_count > len(adj):
         return False
     steps = _embedding_steps(pattern)
-    return _embed(adj, caps, steps, [-1] * len(steps), 0, (1 << n) - 1)
+    return _embed(adj, caps, steps, [-1] * len(steps), 0, (1 << len(adj)) - 1)
 
 
 def _embed(
@@ -367,7 +365,7 @@ def contains_pattern(g: Graph, pattern: TargetPattern) -> bool:
         raise ValueError("pattern too large for brute-force containment")
     # a list, not g.degrees(): a tuple built from a generator is resized,
     # and freed into a free list it never takes from, which keeps growing
-    return _contains_pattern_adj(g.adj, g.n, pattern, [a.bit_count() for a in g.adj])
+    return _contains_pattern_adj(g.adj, pattern, [a.bit_count() for a in g.adj])
 
 
 def degree_sequence_of(g: Graph) -> DegreeSequence:

@@ -448,7 +448,7 @@ def _bound_test(demand: Sequence[int], m: int) -> Callable[[list[int], list[int]
             return True
         able, hubs = masks
         plus = [(a | unsat ^ b if r else a) & able for a, b, r in zip(adj, bits, residual)]
-        return _find_km_minus_c4_adj(plus, n, m - 4, hubs) is not None
+        return _find_km_minus_c4_adj(plus, m - 4, hubs) is not None
 
     return holds
 
@@ -568,11 +568,11 @@ def _km_c4_accept(m: int) -> Callable[[list[int], int], bool]:
 
     def accept(adj: list[int], u: int) -> bool:
         if u < 0:
-            return _find_km_minus_c4_adj(adj, len(adj), hub_count) is not None
+            return _find_km_minus_c4_adj(adj, hub_count) is not None
         nb = adj[u]
         if nb.bit_count() < least:
             return False
-        return _find_km_minus_c4_adj(adj, len(adj), hub_count, nb | 1 << u) is not None
+        return _find_km_minus_c4_adj(adj, hub_count, nb | 1 << u) is not None
 
     return accept
 
@@ -693,42 +693,35 @@ class RealizationCertificate(PatternWitness):
         )
 
 
-class _Placement(tuple):
-    """One placement of K_m - C4 on hosts 0..m-1, which is the pair
-    (hubs, pairs) in the certificate's form: the hubs ascend, each pair
-    ascends, and the pairs are in order.  It carries per host its base row
-    and its demand offset (m - 1 for a hub, m - 3 for a quad vertex)."""
-
-    def __new__(cls, m: int, hubs: tuple[int, ...], pairs: tuple) -> _Placement:
-        self = super().__new__(cls, (hubs, pairs))
-        top = (1 << m) - 1
-        hub_mask = sum(1 << h for h in hubs)
-        self.base = [top ^ 1 << v if v in hubs else hub_mask for v in range(m)]
-        for a, b in pairs:
-            self.base[a] |= 1 << b
-            self.base[b] |= 1 << a
-        self.offsets = tuple(m - 1 if v in hubs else m - 3 for v in range(m))
-        return self
-
-
 @cache
-def _placements(m: int) -> list[_Placement]:
+def _placements(m: int) -> list[tuple]:
     """Every placement on hosts 0..m-1 in placement order: the hub sets of
     ``combinations``, each with the pairings of its quad vertices in the
-    order (0,2,1,3), (0,1,2,3), (0,3,1,2).  Built on first use, not at
-    import, like the class lists."""
+    order (0,2,1,3), (0,1,2,3), (0,3,1,2).  A row is (hubs, pairs, base,
+    offsets): hubs and pairs in the certificate's form (the hubs ascend,
+    each pair ascends, the pairs are in order), then per host its base row
+    and its demand offset (m - 1 for a hub, m - 3 for a quad vertex).
+    Built on first use, not at import, like the class lists."""
     rows = []
+    top = (1 << m) - 1
     for hubs in combinations(range(m), m - 4):
         quad = [v for v in range(m) if v not in hubs]
+        hub_mask = sum(1 << h for h in hubs)
+        offsets = tuple(m - 1 if v in hubs else m - 3 for v in range(m))
         # diagonal pairing first so a zero-demand completion reproduces the
         # pattern constant exactly
         for a, b, c, e in ((0, 2, 1, 3), (0, 1, 2, 3), (0, 3, 1, 2)):
-            rows.append(_Placement(m, hubs, ((quad[a], quad[b]), (quad[c], quad[e]))))
+            pairs = (quad[a], quad[b]), (quad[c], quad[e])
+            base = [top ^ 1 << v if v in hubs else hub_mask for v in range(m)]
+            for p, q in pairs:
+                base[p] |= 1 << q
+                base[q] |= 1 << p
+            rows.append((hubs, pairs, base, offsets))
     return rows
 
 
 @cache
-def _class_list(shape: tuple[bool, ...]) -> list[tuple[int, int, _Placement]]:
+def _class_list(shape: tuple[bool, ...]) -> list[tuple[int, int, tuple]]:
     """The placements that open a class, in placement order, with their
     last hub and last quad vertex, for top terms of run shape ``shape``
     (``shape[i]``: whether terms i and i + 1 are equal).
@@ -747,7 +740,7 @@ def _class_list(shape: tuple[bool, ...]) -> list[tuple[int, int, _Placement]]:
     seen = set()
     classes = []
     for row in _placements(m):
-        hubs, pairs = row
+        hubs, pairs = row[:2]
         key = tuple(sorted(d[h] for h in hubs)), tuple(sorted(tuple(sorted((d[p], d[q]))) for p, q in pairs))
         if key not in seen:
             seen.add(key)
@@ -755,10 +748,10 @@ def _class_list(shape: tuple[bool, ...]) -> list[tuple[int, int, _Placement]]:
     return classes
 
 
-def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | None:
+def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], tuple, tuple] | None:
     """The first completion, in placement order, of a graph with degrees
     ``d`` (non-increasing, at least m terms) that has K_m - C4 on vertices
-    0..m-1, as (adjacency, placement); None when no placement completes.
+    0..m-1, as (adjacency, hubs, pairs); None when no placement completes.
 
     It tries the first placement of each class (see ``_class_list``) that
     passes the bounds: the last hub's term is >= m - 1 and the last quad
@@ -773,11 +766,11 @@ def _place_km_c4(d: Sequence[int], m: int) -> tuple[list[int], _Placement] | Non
     zeros = [0] * len(tail)
     # a display, not tuple(map(...)): a tuple built from an iterator is
     # resized, and freed into a free list it never takes from
-    for h, q, row in _class_list((*map(eq, d, d[1:m]),)):
+    for h, q, (hubs, pairs, base, offsets) in _class_list((*map(eq, d, d[1:m]),)):
         if d[h] >= m - 1 and d[q] >= m - 3:
-            adj = _complete([*map(sub, d, row.offsets), *tail], row.base + zeros)
+            adj = _complete([*map(sub, d, offsets), *tail], base + zeros)
             if adj is not None:
-                return adj, row
+                return adj, hubs, pairs
     return None
 
 
@@ -975,8 +968,8 @@ class Target:
             raise EmbeddingFailure(
                 f"no embedded realization of {render_notation(seq)} completes on the top {m} vertices"
             )
-        adj, row = found
-        cert = RealizationCertificate(*row, Graph(seq.n, tuple(adj)))
+        adj, hubs, pairs = found
+        cert = RealizationCertificate(hubs, pairs, Graph(seq.n, tuple(adj)))
         cert.revalidate(seq)
         return cert
 

@@ -343,12 +343,12 @@ def matching_pair_reference(adj, common):
 # (full test, test of the copies through u) for each containment routine
 ANCHORED_TESTS = {
     "K6-C4 finder": (
-        lambda adj: _find_km_minus_c4_adj(adj, len(adj), 2) is not None,
-        lambda adj, u: _find_km_minus_c4_adj(adj, len(adj), 2, adj[u] | 1 << u) is not None,
+        lambda adj: _find_km_minus_c4_adj(adj, 2) is not None,
+        lambda adj, u: _find_km_minus_c4_adj(adj, 2, adj[u] | 1 << u) is not None,
     ),
     "one-hub finder": (
-        lambda adj: _find_km_minus_c4_adj(adj, len(adj), 1) is not None,
-        lambda adj, u: _find_km_minus_c4_adj(adj, len(adj), 1, adj[u] | 1 << u) is not None,
+        lambda adj: _find_km_minus_c4_adj(adj, 1) is not None,
+        lambda adj, u: _find_km_minus_c4_adj(adj, 1, adj[u] | 1 << u) is not None,
     ),
     "K6-C4 oracle test": (
         lambda adj: _km_c4_accept(6)(adj, -1),

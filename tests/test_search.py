@@ -105,12 +105,21 @@ def test_plain_realizations_are_byte_stable():
 # --- embedded realization ---------------------------------------------------
 
 
-def test_realize_with_k6c4_zero_residual_is_the_pattern():
-    cert = realize_with_k6c4(seq("5^2,3^4"))
-    assert cert.graph == K6_MINUS_C4.as_graph()
-    assert cert.hosts == (0, 1, 2, 3, 4, 5)
-    assert cert.hubs == (0, 1)
-    assert cert.pairs == ((2, 4), (3, 5))
+@pytest.mark.parametrize(
+    "realize, text, pattern, hubs, pairs",
+    [
+        (realize_with_k6c4, "5^2,3^4", K6_MINUS_C4, (0, 1), ((2, 4), (3, 5))),
+        # K5-C4's diagonal-first row: graph6 "Dug"
+        (realize_with_k5c4, "4,2^4", K5_MINUS_C4, (0,), ((1, 3), (2, 4))),
+    ],
+    ids=["k6-c4", "k5-c4"],
+)
+def test_realize_with_k6c4_zero_residual_is_the_pattern(realize, text, pattern, hubs, pairs):
+    cert = realize(seq(text))
+    assert cert.graph == pattern.as_graph()
+    assert cert.hosts == tuple(range(pattern.vertex_count))
+    assert cert.hubs == hubs
+    assert cert.pairs == pairs
 
 
 def test_realize_with_k6c4_nontrivial():
@@ -1035,7 +1044,7 @@ def exhaustive_only(s, pattern):
     # the reference: reference_complete alone, with the generic full
     # containment test, no dominance precheck, no placement witness, and no
     # leap, deferral or cut of search._complete
-    accept = lambda adj, u: _contains_pattern_adj(adj, len(adj), pattern, [a.bit_count() for a in adj])
+    accept = lambda adj, u: _contains_pattern_adj(adj, pattern, [a.bit_count() for a in adj])
     return reference_complete(s.terms, [0] * s.n, accept) is not None
 
 
@@ -1302,7 +1311,7 @@ def check_cut_against_capped_embedding(monkeypatch, lengths):
             if passes_without_search(demand, residual, u, m):
                 assert got is True
             else:
-                expected = _contains_pattern_adj(bound_graph(adj, residual), len(adj), pattern, caps=demand)
+                expected = _contains_pattern_adj(bound_graph(adj, residual), pattern, caps=demand)
                 assert got == expected, (pattern.name, demand, adj, residual, u)
                 counts[0] += 1
                 counts[1] += not got
@@ -1354,7 +1363,7 @@ def test_cut_test_matches_capped_embedding_random():
         if passes_without_search(demand, residual, u, m):
             continue
         got = search._bound_test(demand, m)(adj, residual, u)
-        assert got == _contains_pattern_adj(bound_graph(adj, residual), n, pattern, caps=demand), (
+        assert got == _contains_pattern_adj(bound_graph(adj, residual), pattern, caps=demand), (
             pattern.name, demand, adj, residual, u
         )
         answers[got] += 1
@@ -1732,3 +1741,28 @@ def test_serial_verify_does_not_import_multiprocessing():
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# --- public API -------------------------------------------------------------
+
+
+def test_package_reexports_each_module_all():
+    # the package's public names are exactly the union of its modules'
+    # disjoint ``__all__`` lists, each the same object as in its module
+    import potseq
+    import potseq.characterize
+    import potseq.graphs
+    import potseq.sequences
+
+    modules = (potseq.sequences, potseq.graphs, potseq.characterize, search)
+    names = [name for module in modules for name in module.__all__]
+    assert len(names) == len(set(names))
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(potseq, name) is getattr(module, name), (module.__name__, name)
+    public = {
+        name
+        for name, value in vars(potseq).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == set(names)
